@@ -6,10 +6,13 @@ blocks.  Its canonical basis is the list of matrix units enumerated block by
 block, row-major inside each block; coordinates in that basis are exact
 entry reads, so membership checks are cheap and sharp.
 
-A :class:`CbMap` is a linear map on the ambient matrices that must send the
-algebra into itself (validated at construction).  Internally it is stored
-either as Kraus pairs (L_i, R_i) acting by x -> sum_i L_i x R_i*, or as the
-vectorized D^2 x D^2 matrix; the Choi matrix follows the convention of
+A :class:`CbMap` is a linear map on the algebra, and its coordinate matrix on
+the unit basis is the map.  Kraus pairs (L_i, R_i), acting by
+x -> sum_i L_i x R_i*, and vectorized D^2 x D^2 matrices are accepted as
+input formats only: they are checked to send the algebra into itself and
+converted to coordinates at construction.  The ambient ``matrix`` and
+``choi`` forms are derived as phi o E, where E is the block compression of
+M_D onto the algebra; the Choi matrix follows the convention of
 :mod:`multlab.numerics`.
 
 A :class:`GroupAction` realizes each group element as conjugation by a
@@ -33,9 +36,6 @@ from .numerics import (
     dagger,
     frob_norm,
     is_psd,
-    kron,
-    unvec,
-    vec,
 )
 
 MAX_ALGEBRA_DIM = 16
@@ -77,6 +77,10 @@ class BlockAlgebra:
         self._index = {(b, p, q): i for i, (b, p, q, _, _) in enumerate(positions)}
         self.span = DenseSpan(np.stack(units))
         self.identity = np.eye(total, dtype=complex)
+        # Global row and column of each unit, and its index in vec(M_D).
+        self.unit_rows = np.array([gp for *_, gp, _ in positions], dtype=int)
+        self.unit_cols = np.array([gq for *_, gq in positions], dtype=int)
+        self.vec_index = self.unit_rows + total * self.unit_cols
 
     def __repr__(self):
         return f"BlockAlgebra(blocks={self.blocks})"
@@ -122,56 +126,54 @@ def make_algebra(blocks, max_dim=MAX_ALGEBRA_DIM):
 
 
 class CbMap:
-    """A linear map on M_D that preserves a block algebra.
+    """A linear map on a block algebra, held as its coordinate matrix.
 
-    ``coords`` is the map's matrix on the algebra's unit basis and is the
-    representation everything downstream consumes; the ambient ``matrix``
-    and ``choi`` forms are materialized on demand.
+    ``coords`` is the map: column i holds the coordinates of the image of
+    basis unit i.  Kraus pairs and D^2 x D^2 superoperator matrices are input
+    formats only, converted to ``coords`` once at construction (and checked
+    to send the algebra into itself).  The ambient ``matrix`` and ``choi``
+    forms are derived from ``coords`` as phi o E, with E the block
+    compression of M_D onto the algebra; E is a unital completely positive
+    conditional expectation, so phi o E has the cb norm of phi itself.
     """
 
     def __init__(self, algebra, kraus=None, mat=None, coords=None, check=True, tol=DEFAULT_TOL):
-        if (kraus is None) == (mat is None):
-            raise ValidationError("provide exactly one of kraus pairs or a matrix")
+        if sum(form is not None for form in (kraus, mat, coords)) != 1:
+            raise ValidationError("provide exactly one of kraus pairs, a matrix or coords")
         self.algebra = algebra
-        self._kraus = kraus
-        self._mat = None if mat is None else np.asarray(mat, dtype=complex)
-        d = algebra.total_dim
-        if self._mat is not None and self._mat.shape != (d * d, d * d):
-            raise ValidationError(f"matrix must be {d * d} x {d * d}")
+        self._matrix = None
         self._choi = None
+        d = algebra.total_dim
         if coords is not None:
-            self.coords = np.asarray(coords, dtype=complex)
+            coords = np.asarray(coords, dtype=complex)
+            if coords.shape != (algebra.dim, algebra.dim):
+                raise ValidationError(f"coords must be {algebra.dim} x {algebra.dim}")
+            self.coords = coords
+            return
+        if kraus is not None:
+            images = np.zeros((algebra.dim, d, d), dtype=complex)
+            for left, right in kraus:
+                left = np.asarray(left, dtype=complex)
+                right = np.asarray(right, dtype=complex)
+                if left.shape != (d, d) or right.shape != (d, d):
+                    raise ValidationError(f"Kraus factors must be {d} x {d}")
+                images += left @ algebra.span.basis @ dagger(right)
         else:
-            images = [self._raw_apply(algebra.unit(i)) for i in range(algebra.dim)]
-            cols = []
-            for i, img in enumerate(images):
-                try:
-                    cols.append(algebra.coeffs(img, require=check, tol=tol))
-                except MembershipError as err:
-                    raise MembershipError(
-                        f"image of basis unit {i} leaves the algebra", err.residual
-                    ) from None
-            self.coords = np.stack(cols, axis=1)
-
-    def _raw_apply(self, x):
-        if self._kraus is not None:
-            out = np.zeros_like(np.asarray(x, dtype=complex))
-            for left, right in self._kraus:
-                out += left @ x @ dagger(right)
-            return out
-        return unvec(self._mat @ vec(x))
+            mat = np.asarray(mat, dtype=complex)
+            if mat.shape != (d * d, d * d):
+                raise ValidationError(f"matrix must be {d * d} x {d * d}")
+            # Column vec_index[i] of mat is vec of the image of unit i.
+            images = mat[:, algebra.vec_index].T.reshape(algebra.dim, d, d).transpose(0, 2, 1)
+        self.coords = _unit_image_coords(algebra, images, check, tol)
 
     @classmethod
     def from_kraus(cls, algebra, lefts, rights=None, check=True):
+        """The map x -> sum_i lefts[i] x rights[i]*; rights default to lefts."""
         if rights is None:
             rights = lefts
         if len(lefts) != len(rights):
             raise ValidationError("left and right Kraus lists differ in length")
-        pairs = [
-            (np.asarray(l, dtype=complex), np.asarray(r, dtype=complex))
-            for l, r in zip(lefts, rights)
-        ]
-        return cls(algebra, kraus=pairs, check=check)
+        return cls(algebra, kraus=list(zip(lefts, rights)), check=check)
 
     @classmethod
     def from_matrix(cls, algebra, mat, check=True):
@@ -179,30 +181,26 @@ class CbMap:
 
     @classmethod
     def from_unit_images(cls, algebra, images, check=True):
-        """Define the map by its values on the algebra's unit basis.
-
-        Outside the algebra the map acts as zero on the orthogonal complement.
-        """
+        """Define the map by its values on the algebra's unit basis."""
         images = [np.asarray(im, dtype=complex) for im in images]
         if len(images) != algebra.dim:
             raise ValidationError(f"need {algebra.dim} images, got {len(images)}")
-        im_stack = np.stack([vec(im) for im in images], axis=1)
-        un_stack = np.stack([vec(algebra.unit(i)) for i in range(algebra.dim)], axis=1)
-        mat = im_stack @ un_stack.conj().T
-        return cls(algebra, mat=mat, check=check)
+        d = algebra.total_dim
+        if any(im.shape != (d, d) for im in images):
+            raise ValidationError(f"unit images must be {d} x {d}")
+        return cls(algebra, coords=_unit_image_coords(algebra, np.stack(images), check, DEFAULT_TOL))
 
     @classmethod
-    def from_coords(cls, algebra, coords, check=False):
-        images = [algebra.element(np.asarray(coords)[:, i]) for i in range(algebra.dim)]
-        return cls.from_unit_images(algebra, images, check=check)
+    def from_coords(cls, algebra, coords):
+        return cls(algebra, coords=coords)
 
     @classmethod
     def identity(cls, algebra):
-        return cls.from_kraus(algebra, [algebra.identity], check=False)
+        return cls(algebra, coords=np.eye(algebra.dim))
 
     @classmethod
     def zero(cls, algebra):
-        return cls.from_kraus(algebra, [np.zeros_like(algebra.identity)], check=False)
+        return cls(algebra, coords=np.zeros((algebra.dim, algebra.dim)))
 
     @classmethod
     def ad(cls, algebra, u, check=True):
@@ -211,13 +209,14 @@ class CbMap:
 
     @property
     def matrix(self):
-        if self._mat is None:
+        """Superoperator of phi o E on column-stacked D x D matrices."""
+        if self._matrix is None:
             d = self.algebra.total_dim
+            idx = self.algebra.vec_index
             mat = np.zeros((d * d, d * d), dtype=complex)
-            for left, right in self._kraus:
-                mat += kron(right.conj(), left)
-            self._mat = mat
-        return self._mat
+            mat[np.ix_(idx, idx)] = self.coords
+            self._matrix = mat
+        return self._matrix
 
     @property
     def choi(self):
@@ -226,7 +225,8 @@ class CbMap:
         return self._choi
 
     def apply(self, x):
-        return self._raw_apply(np.asarray(x, dtype=complex))
+        """phi(E(x)); equal to phi(x) for x in the algebra."""
+        return self.algebra.element(self.coords @ self.algebra.coeffs(x))
 
     def is_cp(self, tol=1e-9):
         return is_psd(self.choi, tol=tol)
@@ -235,39 +235,13 @@ class CbMap:
         return frob_norm(self.apply(self.algebra.identity) - self.algebra.identity) <= tol
 
     def __matmul__(self, other):
-        if self._kraus is not None and other._kraus is not None and (
-            len(self._kraus) * len(other._kraus) <= 64
-        ):
-            pairs = [
-                (la @ lb, ra @ rb)
-                for la, ra in self._kraus
-                for lb, rb in other._kraus
-            ]
-            out = CbMap(self.algebra, kraus=pairs, coords=self.coords @ other.coords)
-        else:
-            out = CbMap(
-                self.algebra,
-                mat=self.matrix @ other.matrix,
-                coords=self.coords @ other.coords,
-            )
-        return out
+        return CbMap(self.algebra, coords=self.coords @ other.coords)
 
     def __add__(self, other):
-        if self._kraus is not None and other._kraus is not None:
-            return CbMap(
-                self.algebra,
-                kraus=self._kraus + other._kraus,
-                coords=self.coords + other.coords,
-            )
-        return CbMap(
-            self.algebra, mat=self.matrix + other.matrix, coords=self.coords + other.coords
-        )
+        return CbMap(self.algebra, coords=self.coords + other.coords)
 
     def __mul__(self, scalar):
-        if self._kraus is not None:
-            pairs = [(scalar * l, r) for l, r in self._kraus]
-            return CbMap(self.algebra, kraus=pairs, coords=scalar * self.coords)
-        return CbMap(self.algebra, mat=scalar * self.matrix, coords=scalar * self.coords)
+        return CbMap(self.algebra, coords=scalar * self.coords)
 
     __rmul__ = __mul__
 
@@ -275,9 +249,26 @@ class CbMap:
         return float(np.linalg.norm(self.coords - other.coords, 2))
 
 
-def cbmap_from_kraus(algebra, lefts, rights=None):
-    """Kraus-form constructor; rights default to lefts (completely positive)."""
-    return CbMap.from_kraus(algebra, lefts, rights)
+def _unit_image_coords(algebra, images, check, tol):
+    """Coordinate matrix of a map from the stacked images of the basis units.
+
+    With ``check`` an image with Frobenius mass outside the algebra beyond
+    ``tol`` (relative to its size) raises :class:`MembershipError`.
+    """
+    rows, cols = algebra.unit_rows, algebra.unit_cols
+    coords = images[:, rows, cols].T
+    if check:
+        outside = images.copy()
+        outside[:, rows, cols] = 0.0
+        mass = np.linalg.norm(outside.reshape(algebra.dim, -1), axis=1)
+        size = np.linalg.norm(images.reshape(algebra.dim, -1), axis=1)
+        bad = np.flatnonzero(mass > tol * np.maximum(1.0, size))
+        if bad.size:
+            i = int(bad[0])
+            raise MembershipError(
+                f"image of basis unit {i} leaves the algebra", float(mass[i])
+            )
+    return coords
 
 
 def _perm_matrix(algebra, perm):
@@ -372,8 +363,7 @@ class GroupAction:
         return self.apply(self.group.inv(r), x)
 
     def cbmap(self, r):
-        w = self._unitaries[r]
-        return CbMap(self.algebra, kraus=[(w, w)], coords=self._coords[r])
+        return CbMap.from_coords(self.algebra, self._coords[r])
 
     def fixed_point_basis(self, tol=1e-8):
         """Orthonormal basis (in HS inner product) of the fixed-point subalgebra."""

@@ -354,7 +354,6 @@ class DualityIso:
         self.domain = domain
         self.codomain = codomain
         self.coords = coords
-        self._lu = None
         self.report = report or {}
 
     def _solve(self, rhs):

@@ -46,11 +46,8 @@ class FiberSymbol:
         v = np.asarray(values, dtype=complex).reshape(-1)
         if v.size != group.order:
             raise ValidationError(f"need {group.order} scalars, got {v.size}")
-        ident = algebra.identity
-        fibers = [
-            CbMap(algebra, kraus=[(v[r] * ident, ident)], check=False)
-            for r in group.elements
-        ]
+        ident = np.eye(algebra.dim)
+        fibers = [CbMap.from_coords(algebra, v[r] * ident) for r in group.elements]
         return cls(group, fibers)
 
     @classmethod

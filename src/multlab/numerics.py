@@ -80,11 +80,6 @@ def frob_norm(a):
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product tr(a* b), conjugate-linear in ``a``."""
-    return complex(np.vdot(a, b))
-
-
 def choi_matrix(superop, dim):
     """Choi matrix of a map given as its action on vec'd matrices.
 

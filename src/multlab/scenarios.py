@@ -31,7 +31,8 @@ expected shape of each slot resolves the nesting (a vector slot reads
 
 cbmap-spec: ``{"kraus": [[A, B], ...]}`` (pairs of matrices, x -> sum A x B*)
 or ``{"matrix": [[...]]}`` (superoperator on column-stacked input) or
-``{"scale": c}`` (scalar multiple of the identity map).
+``{"scale": c}`` (scalar multiple of the identity map).  A map must send the
+coefficient algebra into itself, and only its action on the algebra is kept.
 
 The grid rows are indexed by the column block x and entries by the row block
 y, matching the symbol-grid orientation used throughout the package.
@@ -162,8 +163,7 @@ def _parse_cbmap(spec, algebra, path):
     try:
         if "scale" in spec:
             c = _complex_entry(spec["scale"], f"{path}.scale")
-            ident = algebra.identity
-            return CbMap(algebra, kraus=[(c * ident, ident)], check=False)
+            return CbMap.from_coords(algebra, c * np.eye(algebra.dim))
         if "kraus" in spec:
             pairs = spec["kraus"]
             if not isinstance(pairs, (list, tuple)) or not pairs:
@@ -536,10 +536,13 @@ def _suite_schur(run):
     ident = SchurSymbol.from_scalar_grid(
         symbol.algebra, np.ones((symbol.nx, symbol.ny))
     )
-    residual = frob_norm(
-        schur_map(ident).matrix
-        - np.eye((symbol.nx * symbol.algebra.total_dim) ** 2)
-    )
+    # Cells act as phi o E, so the identity grid assembles to the compression
+    # of M_{nD} onto M_n(A): it keeps the entries whose local row and column
+    # lie in one block of A (all entries when A is a single block).
+    blocks = symbol.algebra.blocks
+    labels = np.tile(np.repeat(np.arange(len(blocks)), blocks), symbol.nx)
+    kept = labels[:, None] == labels[None, :]
+    residual = frob_norm(schur_map(ident).matrix - np.diag(kept.reshape(-1).astype(float)))
     run.check("schur-identity-grid", residual, started=t0)
 
 

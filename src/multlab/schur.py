@@ -76,10 +76,9 @@ class SchurSymbol:
         g = np.asarray(grid, dtype=complex)
         if g.ndim != 2:
             raise ValidationError("scalar grid must be 2-d")
-        ident = algebra.identity
+        ident = np.eye(algebra.dim)
         maps = [
-            [CbMap(algebra, kraus=[(g[x, y] * ident, ident)], check=False)
-             for y in range(g.shape[1])]
+            [CbMap.from_coords(algebra, g[x, y] * ident) for y in range(g.shape[1])]
             for x in range(g.shape[0])
         ]
         return cls(maps)

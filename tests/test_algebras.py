@@ -55,7 +55,7 @@ def test_cbmap_kraus_matches_matrix_action():
     m = al.make_algebra((2, 2))
     lefts = [al.sample_element(rng, m) for _ in range(2)]
     rights = [al.sample_element(rng, m) for _ in range(2)]
-    phi = al.cbmap_from_kraus(m, lefts, rights)
+    phi = al.CbMap.from_kraus(m, lefts, rights)
     x = al.sample_element(rng, m)
     expected = sum(l @ x @ r.conj().T for l, r in zip(lefts, rights))
     np.testing.assert_allclose(phi.apply(x), expected, atol=1e-12)
@@ -70,7 +70,7 @@ def test_cbmap_must_preserve_algebra():
     hop = np.array([[0.0, 1.0], [0.0, 0.0]])
     # x -> E01 x moves diagonal content off the diagonal.
     with pytest.raises(MembershipError):
-        al.cbmap_from_kraus(m, [hop], [np.eye(2)])
+        al.CbMap.from_kraus(m, [hop], [np.eye(2)])
 
 
 def test_cbmap_coords_identity():

@@ -150,6 +150,17 @@ def test_cb_norm_cp_equals_value_at_identity():
     )
 
 
+def test_cb_norm_is_the_norm_on_the_algebra():
+    # x -> x - ZxZ vanishes on C + C but doubles off-diagonal entries of M2;
+    # its norm is that of the zero map on the algebra.
+    m = al.make_algebra((1, 1))
+    z = np.diag([1.0, -1.0])
+    phi = al.CbMap.from_kraus(m, [m.identity, -z], [m.identity, z])
+    assert np.all(phi.coords == 0)
+    assert cb.cb_norm(phi) <= 1e-6
+    assert cb.cb_norm(phi @ phi) <= 1e-6
+
+
 def test_cb_norm_determinism():
     m = al.make_algebra((2,))
     transpose = al.CbMap.from_unit_images(m, [m.unit(i).T for i in range(m.dim)])

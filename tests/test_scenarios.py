@@ -215,6 +215,38 @@ def test_run_suites_triangular_grid_norm():
     assert abs(schur[0]["value"] - 2.0 / np.sqrt(3.0)) < 1e-6
 
 
+def test_run_suites_translation_kraus_grid_norm():
+    # Each cell is x -> x - ZxZ on C + C, the zero map on the coefficient
+    # algebra even though its Kraus pairs act nontrivially off the blocks.
+    eye, z = [[1, 0], [0, 1]], [[1, 0], [0, -1]]
+    minus_z = [[-1, 0], [0, 1]]
+    cell = {"kraus": [[eye, eye], [minus_z, z]]}
+    sc = parse_scenario(
+        {
+            "group": {"type": "cyclic", "n": 2},
+            "action": "translation",
+            "suites": ["norms"],
+            "grid": [[cell, cell], [cell, cell]],
+        }
+    )
+    report, passed = run_suites(sc)
+    assert passed
+    norms = {n["kind"]: n["value"] for n in report["norms"]}
+    assert norms["schur"] <= 1e-6
+    assert abs(norms["hs"] - 0.4786246465504171) < 1e-12
+
+
+def test_run_suites_translation_schur_suite():
+    # On the translation model the coefficient algebra has one block per
+    # group element, so the identity grid is a compression, not the identity.
+    sc = parse_scenario({"group": {"type": "cyclic", "n": 3}, "action": "translation"})
+    report, passed = run_suites(sc, suites="schur")
+    assert passed, report["checks"]
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["schur-bimodule", "schur-extract-roundtrip", "schur-identity-grid"]
+    assert report["checks"][-1]["residual"] == 0.0
+
+
 def test_load_scenario_and_write_report(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(Z2_SCALAR))
