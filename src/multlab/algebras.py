@@ -77,10 +77,8 @@ class BlockAlgebra:
         self._index = {(b, p, q): i for i, (b, p, q, _, _) in enumerate(positions)}
         self.span = DenseSpan(np.stack(units))
         self.identity = np.eye(total, dtype=complex)
-        # Global row and column of each unit, and its index in vec(M_D).
-        self.unit_rows = np.array([gp for *_, gp, _ in positions], dtype=int)
-        self.unit_cols = np.array([gq for *_, gq in positions], dtype=int)
-        self.vec_index = self.unit_rows + total * self.unit_cols
+        # Index of each unit in the column-stacked vec(M_D).
+        self.vec_index = np.array([gp + total * gq for *_, gp, gq in positions], dtype=int)
 
     def __repr__(self):
         return f"BlockAlgebra(blocks={self.blocks})"
@@ -137,7 +135,7 @@ class CbMap:
     conditional expectation, so phi o E has the cb norm of phi itself.
     """
 
-    def __init__(self, algebra, kraus=None, mat=None, coords=None, check=True, tol=DEFAULT_TOL):
+    def __init__(self, algebra, kraus=None, mat=None, coords=None):
         if sum(form is not None for form in (kraus, mat, coords)) != 1:
             raise ValidationError("provide exactly one of kraus pairs, a matrix or coords")
         self.algebra = algebra
@@ -164,23 +162,23 @@ class CbMap:
                 raise ValidationError(f"matrix must be {d * d} x {d * d}")
             # Column vec_index[i] of mat is vec of the image of unit i.
             images = mat[:, algebra.vec_index].T.reshape(algebra.dim, d, d).transpose(0, 2, 1)
-        self.coords = _unit_image_coords(algebra, images, check, tol)
+        self.coords = _unit_image_coords(algebra, images)
 
     @classmethod
-    def from_kraus(cls, algebra, lefts, rights=None, check=True):
+    def from_kraus(cls, algebra, lefts, rights=None):
         """The map x -> sum_i lefts[i] x rights[i]*; rights default to lefts."""
         if rights is None:
             rights = lefts
         if len(lefts) != len(rights):
             raise ValidationError("left and right Kraus lists differ in length")
-        return cls(algebra, kraus=list(zip(lefts, rights)), check=check)
+        return cls(algebra, kraus=list(zip(lefts, rights)))
 
     @classmethod
-    def from_matrix(cls, algebra, mat, check=True):
-        return cls(algebra, mat=mat, check=check)
+    def from_matrix(cls, algebra, mat):
+        return cls(algebra, mat=mat)
 
     @classmethod
-    def from_unit_images(cls, algebra, images, check=True):
+    def from_unit_images(cls, algebra, images):
         """Define the map by its values on the algebra's unit basis."""
         images = [np.asarray(im, dtype=complex) for im in images]
         if len(images) != algebra.dim:
@@ -188,7 +186,7 @@ class CbMap:
         d = algebra.total_dim
         if any(im.shape != (d, d) for im in images):
             raise ValidationError(f"unit images must be {d} x {d}")
-        return cls(algebra, coords=_unit_image_coords(algebra, np.stack(images), check, DEFAULT_TOL))
+        return cls(algebra, coords=_unit_image_coords(algebra, np.stack(images)))
 
     @classmethod
     def from_coords(cls, algebra, coords):
@@ -203,9 +201,9 @@ class CbMap:
         return cls(algebra, coords=np.zeros((algebra.dim, algebra.dim)))
 
     @classmethod
-    def ad(cls, algebra, u, check=True):
+    def ad(cls, algebra, u):
         """Conjugation x -> u x u*."""
-        return cls.from_kraus(algebra, [u], check=check)
+        return cls.from_kraus(algebra, [u])
 
     @property
     def matrix(self):
@@ -249,26 +247,17 @@ class CbMap:
         return float(np.linalg.norm(self.coords - other.coords, 2))
 
 
-def _unit_image_coords(algebra, images, check, tol):
+def _unit_image_coords(algebra, images):
     """Coordinate matrix of a map from the stacked images of the basis units.
 
-    With ``check`` an image with Frobenius mass outside the algebra beyond
-    ``tol`` (relative to its size) raises :class:`MembershipError`.
+    An image outside the algebra raises :class:`MembershipError`.
     """
-    rows, cols = algebra.unit_rows, algebra.unit_cols
-    coords = images[:, rows, cols].T
-    if check:
-        outside = images.copy()
-        outside[:, rows, cols] = 0.0
-        mass = np.linalg.norm(outside.reshape(algebra.dim, -1), axis=1)
-        size = np.linalg.norm(images.reshape(algebra.dim, -1), axis=1)
-        bad = np.flatnonzero(mass > tol * np.maximum(1.0, size))
-        if bad.size:
-            i = int(bad[0])
-            raise MembershipError(
-                f"image of basis unit {i} leaves the algebra", float(mass[i])
-            )
-    return coords
+    try:
+        return algebra.coeffs(images, require=True).T
+    except MembershipError as err:
+        raise MembershipError(
+            f"image of basis unit {err.index} leaves the algebra", err.residual, err.index
+        ) from None
 
 
 def _perm_matrix(algebra, perm):

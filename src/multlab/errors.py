@@ -51,11 +51,13 @@ class ActionError(ValidationError):
 class MembershipError(MultlabError):
     """An operator expected inside a span/algebra lies outside it.
 
-    ``residual`` is the distance from the span in Frobenius norm.
+    ``residual`` is the distance from the span in Frobenius norm; ``index``
+    is the position of the offending operator when a stack was checked.
     """
 
-    def __init__(self, message, residual):
+    def __init__(self, message, residual, index=None):
         self.residual = residual
+        self.index = index
         super().__init__(f"{message} (residual {residual:.3e})")
 
 

@@ -155,15 +155,25 @@ class DenseSpan:
         return self.basis[k]
 
     def coeffs(self, x, tol=DEFAULT_TOL, require=False):
-        """Coordinates of ``x`` in the basis; optionally enforce membership."""
+        """Coordinates of ``x`` in the basis; optionally enforce membership.
+
+        ``x`` is one matrix or a stack of them, shape (k, rows, cols); a stack
+        gets a (k, dim) array, row j holding the coordinates of ``x[j]``.
+        """
         x = np.asarray(x, dtype=complex)
-        c = self._dual @ x.reshape(-1)
+        flat = x.reshape(-1, self._flat.shape[1])
+        c = flat @ self._dual.T
         if require:
-            rebuilt = (c @ self._flat).reshape(self.shape)
-            res = frob_norm(x - rebuilt)
-            if res > tol * max(1.0, frob_norm(x)):
-                raise MembershipError("operator lies outside the span", res)
-        return c
+            res = np.linalg.norm(flat - c @ self._flat, axis=1)
+            bad = np.flatnonzero(res > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1)))
+            if bad.size:
+                i = int(bad[0])
+                raise MembershipError(
+                    "operator lies outside the span",
+                    float(res[i]),
+                    index=None if x.ndim == 2 else i,
+                )
+        return c[0] if x.ndim == 2 else c
 
     def matrix(self, c):
         """The span element with coordinates ``c``."""

@@ -69,7 +69,7 @@ def test_cbmap_must_preserve_algebra():
     m = diag_algebra(2)
     hop = np.array([[0.0, 1.0], [0.0, 0.0]])
     # x -> E01 x moves diagonal content off the diagonal.
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match="image of basis unit 1 leaves the algebra"):
         al.CbMap.from_kraus(m, [hop], [np.eye(2)])
 
 

@@ -109,6 +109,20 @@ def test_dense_span_coeffs_and_residual():
         span.coeffs(x, require=True)
 
 
+def test_dense_span_coeffs_of_a_stack():
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    e22 = np.diag([0.0, 1.0]).astype(complex)
+    span = nm.DenseSpan(np.stack([e11, e22]))
+    xs = np.stack([np.diag([2.0, 3.0]), np.diag([-1.0, 5.0])]).astype(complex)
+    np.testing.assert_allclose(span.coeffs(xs, require=True), [[2.0, 3.0], [-1.0, 5.0]])
+    # The first operator outside the span is named by its stack index.
+    xs[1, 0, 1] = 1.0
+    with pytest.raises(MembershipError) as info:
+        span.coeffs(xs, require=True)
+    assert info.value.index == 1
+    assert info.value.residual > 0.9
+
+
 def test_dense_span_non_orthogonal_basis():
     b0 = np.eye(2, dtype=complex)
     b1 = np.eye(2, dtype=complex)
