@@ -18,10 +18,13 @@ block maps when that mass vanishes.
 
 ``dilation_factorize`` realizes a symbol as
 ``cell(x, y)(a) = W(y)* (a (x) I_t) V(x)`` by Gram-factorizing the optimal
-completion of the norm SDP; the product max ||V|| * max ||W|| certifies the
-completely bounded norm from above while the SDP value bounds it from below.
+completion of the norm SDP.  The product max ||V|| * max ||W|| is a proven
+upper bound on the completely bounded norm.  The SDP value is not a bound on
+either side: it is the primal objective of an infeasible-start method, within
+the reported duality gap of the optimum.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +119,21 @@ def apply_symbol(symbol, kernel):
     return kernel_operator(out)
 
 
+_FULL_ALGEBRAS = weakref.WeakValueDictionary()
+
+
+def _full_algebra(side):
+    """The full matrix algebra M_side, shared by every live map on it.
+
+    The cache holds it weakly: its dense basis of (side^2)^2 entries is too
+    large to pin for the life of the process.
+    """
+    algebra = _FULL_ALGEBRAS.get(side)
+    if algebra is None:
+        algebra = _FULL_ALGEBRAS[side] = make_algebra((side,), max_dim=None)
+    return algebra
+
+
 def schur_map(symbol):
     """The symbol as one map on the assembled (square) block matrix space."""
     if symbol.nx != symbol.ny:
@@ -129,7 +147,7 @@ def schur_map(symbol):
         for y in range(n):
             idx = ((x * d + local)[:, None] * nd + (y * d + local)[None, :]).reshape(-1)
             mat[np.ix_(idx, idx)] = symbol.maps[x][y].matrix
-    return CbMap(make_algebra((nd,), max_dim=None), mat=mat)
+    return CbMap(_full_algebra(nd), mat=mat)
 
 
 def _as_superoperator(source):
@@ -177,7 +195,7 @@ def extract_symbol(source, algebra=None, block_dim=None, tol=1e-10):
     if algebra is None:
         if block_dim is None:
             raise ValidationError("pass the entry algebra or the block size")
-        algebra = make_algebra((int(block_dim),), max_dim=None)
+        algebra = _full_algebra(int(block_dim))
     d = algebra.total_dim
     r8, n, residual = _block_split(source, d)
     scale = 1.0 + frob_norm(r8.reshape(-1))
@@ -200,8 +218,10 @@ class DilationResult:
     """Dilation triple with its norm certificate.
 
     ``cell(x, y)(a) = w_ops[y]* (a (x) I_multiplicity) v_ops[x]`` holds up to
-    ``reconstruction_residual``.  ``value`` is the SDP norm (lower bound side)
-    and ``certificate = max ||V|| * max ||W||`` the factorization upper bound.
+    ``reconstruction_residual``.  ``certificate = max ||V|| * max ||W||`` is
+    the only proven bound: an upper bound on the norm, given by the
+    factorization.  ``value`` is the SDP value, the primal objective of an
+    infeasible-start method: within ``gap`` of the optimum, not a bound.
     """
 
     value: float

@@ -8,12 +8,15 @@ Frozen reference values:
 * completely positive maps have norm ||phi(1)||.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from multlab import algebras as al
 from multlab import cbnorm as cb
 from multlab import numerics as nm
+from multlab import sampling as sp
 from multlab.errors import SolverError, ValidationError
 
 
@@ -46,6 +49,98 @@ def test_sdp_two_blocks():
     np.testing.assert_allclose(res.value, 5.0, atol=1e-7)
 
 
+def test_sdp_dense_stack_matches_triplets():
+    # The same problem as coefficient triplets and as a dense stack.
+    rng = np.random.default_rng(67)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = (a + a.conj().T) / 2
+    fs = np.zeros((2, 4, 4), dtype=complex)
+    fs[0] = np.eye(4)
+    fs[1, 0, 1], fs[1, 1, 0] = 1j, -1j
+    triplets = (
+        np.array([0, 0, 0, 0, 1, 1]), np.array([0, 1, 2, 3, 0, 1]),
+        np.array([0, 1, 2, 3, 1, 0]), np.array([1, 1, 1, 1, 1j, -1j]),
+    )
+    c = np.array([1.0, 0.0])
+    dense = cb.sdp_solve(c, [(-a, fs)])
+    sparse = cb.sdp_solve(c, [(-a, triplets)])
+    assert dense.status == sparse.status == "optimal"
+    assert dense.value == sparse.value
+    assert dense.iterations == sparse.iterations
+    np.testing.assert_array_equal(dense.y, sparse.y)
+
+
+def test_sdp_triplets_are_validated():
+    f0 = np.zeros((2, 2), dtype=complex)
+    not_hermitian = (np.array([0]), np.array([0]), np.array([1]), np.array([1.0]))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        cb.sdp_solve(np.array([1.0]), [(f0, not_hermitian)])
+    out_of_range = (np.array([0]), np.array([2]), np.array([2]), np.array([1.0]))
+    with pytest.raises(ValidationError, match="out of range"):
+        cb.sdp_solve(np.array([1.0]), [(f0, out_of_range)])
+    with pytest.raises(ValidationError, match="shape"):
+        cb.sdp_solve(np.array([1.0]), [(f0, np.zeros((2, 2, 2)))])
+
+
+def _random_pd(rng, h):
+    a = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    return a @ a.conj().T + 0.1 * np.eye(h)
+
+
+@pytest.mark.parametrize(
+    "choi_blocks",
+    [
+        np.random.default_rng(68).standard_normal((3, 3, 1, 1)) + 0j,
+        sp.random_schur_symbol(
+            np.random.default_rng(69), al.make_algebra((2,)), 3, terms=2
+        ).choi_blocks(),
+        al.sample_cbmap(np.random.default_rng(70), al.make_algebra((2,)), terms=2)
+        .choi[None, None],
+    ],
+    ids=["scalar-3x3", "m2-3x3", "single-m2"],
+)
+def test_schur_complement_matches_dense_formula(choi_blocks):
+    # Oracle: build every F_p densely and form tr(F_p S^-1 F_q X) directly.
+    ny, nx, dd, _ = choi_blocks.shape
+    d = int(round(np.sqrt(dd)))
+    rmat = choi_blocks.transpose(0, 2, 1, 3).reshape(ny * dd, nx * dd)
+    c, blocks, _, _ = cb._assemble_grid_problem(rmat, nx, ny, d)
+    m = c.size
+    rng = np.random.default_rng(71)
+    y = rng.standard_normal(m)
+    mat = np.zeros((m, m))
+    dense_mat = np.zeros((m, m))
+    for f0, (p, r, col, v) in blocks:
+        h = f0.shape[0]
+        fs = np.zeros((m, h, h), dtype=complex)
+        np.add.at(fs, (p, r, col), v)
+        assert np.allclose(fs, fs.conj().transpose(0, 2, 1))
+        s, x = _random_pd(rng, h), _random_pd(rng, h)
+        sinv = np.linalg.inv(s)
+        block = cb._Block(f0, (p, r, col, v), m)
+        block.add_schur(mat, sinv, x)
+        # tr(F_p T_q) with T_q = S^-1 F_q X, summed over (i, j).
+        t = sinv @ fs @ x
+        dense_mat += (fs.reshape(m, -1) @ t.transpose(0, 2, 1).reshape(m, -1).T).real
+        np.testing.assert_allclose(
+            block.combine(y), np.tensordot(y, fs, axes=(0, 0)), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            block.traces(x), np.einsum("pij,ji->p", fs, x).real, atol=1e-10
+        )
+    scale = np.abs(dense_mat).max()
+    assert np.abs(mat - dense_mat).max() <= 1e-12 * scale
+
+
+def test_chol_psd_reports_jitter():
+    singular = np.ones((2, 2), dtype=complex)
+    factor, jitter = cb._chol_psd(singular)
+    assert jitter > 0
+    np.testing.assert_allclose(factor @ factor.conj().T, singular, atol=1e-6)
+    _, jitter = cb._chol_psd(np.eye(2, dtype=complex))
+    assert jitter == 0.0
+
+
 def test_sdp_infeasible_raises():
     # [[t, 1], [1, 0]] is never positive semidefinite.
     f0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -74,7 +169,10 @@ def test_schur_norm_identity_grid():
 
 def test_schur_norm_triangular_truncation():
     grid = np.array([[1.0, 1.0], [0.0, 1.0]])
-    np.testing.assert_allclose(cb.schur_cb_norm(grid), 2 / np.sqrt(3), atol=1e-6)
+    value, res = cb.schur_cb_norm(grid, details=True)
+    np.testing.assert_allclose(value, 2 / np.sqrt(3), atol=1e-6)
+    assert res.status == "optimal"
+    assert res.jitters == 0
 
 
 def test_schur_norm_psd_grid_is_max_diagonal():
@@ -185,3 +283,15 @@ def test_size_caps():
     m = al.make_algebra((9,), max_dim=None)
     with pytest.raises(ValidationError):
         cb.cb_norm(al.CbMap.identity(m))
+    # A 10x10 grid of M2 cells is within the side caps, but its SDP exceeds
+    # the problem-size cap; the rejection must come from shapes alone.
+    choi = al.CbMap.identity(al.make_algebra((2,))).choi
+    blocks = np.broadcast_to(choi, (10, 10, 4, 4)).copy()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="too large"):
+            cb.grid_cb_solution(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

@@ -80,6 +80,18 @@ def test_schur_map_matches_apply():
     np.testing.assert_allclose(smap.apply(k), sc.apply_symbol(sym, k), atol=1e-10)
 
 
+def test_schur_map_shares_its_algebra():
+    rng = np.random.default_rng(79)
+    alg = al.make_algebra((2,))
+    first = sc.schur_map(_random_symbol(rng, alg, 2, 2))
+    second = sc.schur_map(_random_symbol(rng, alg, 2, 2))
+    assert first.algebra is second.algebra
+    assert first.algebra.total_dim == 4
+    for smap in (first, second):
+        fresh = al.CbMap(al.make_algebra((4,), max_dim=None), mat=smap.matrix)
+        np.testing.assert_array_equal(smap.coords, fresh.coords)
+
+
 def test_schur_map_composition_is_entrywise():
     rng = np.random.default_rng(75)
     alg = al.make_algebra((2,))
