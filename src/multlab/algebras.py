@@ -3,8 +3,11 @@
 A *block algebra* is a direct sum of full matrix blocks sitting inside
 M_D with D the sum of the block sizes: all matrices supported on the diagonal
 blocks.  Its canonical basis is the list of matrix units enumerated block by
-block, row-major inside each block; coordinates in that basis are exact
-entry reads, so membership checks are cheap and sharp.
+block, row-major inside each block.  The basis is held as index arrays (the
+global row and column of each unit), never as stored matrices: coordinates
+are exact entry reads, elements are scatters, and the distance to the
+algebra is the norm off its support, so membership checks are cheap and
+sharp.
 
 A :class:`CbMap` is a linear map on the algebra, and its coordinate matrix on
 the unit basis is the map.  Kraus pairs (L_i, R_i), acting by
@@ -50,7 +53,17 @@ class CheckResult(NamedTuple):
 
 
 class BlockAlgebra:
-    """Direct sum of full matrix blocks inside M_D."""
+    """Direct sum of full matrix blocks inside M_D, held as index arrays.
+
+    Unit i is the matrix unit at global position (``rows[i]``, ``cols[i]``);
+    ``flat_index`` and ``vec_index`` locate it in the row-major and the
+    column-stacked D^2 vectors.  The unit basis itself is never stored:
+    coordinates are a gather of those entries, elements a scatter, and the
+    distance to the algebra is the norm of the entries off its support.
+    ``dim``, ``shape``, ``coeffs`` and ``matrix`` are the span interface of
+    :class:`~multlab.numerics.DenseSpan`, so an algebra can be either side of
+    a duality isomorphism.
+    """
 
     def __init__(self, blocks, max_dim=MAX_ALGEBRA_DIM):
         blocks = tuple(int(b) for b in blocks)
@@ -61,61 +74,96 @@ class BlockAlgebra:
             raise ValidationError(f"total dimension {total} exceeds cap {max_dim}")
         self.blocks = blocks
         self.total_dim = total
+        self.shape = (total, total)
         self.offsets = np.concatenate([[0], np.cumsum(blocks)])
-        units = []
-        positions = []
-        for b, d in enumerate(blocks):
-            off = self.offsets[b]
-            for p in range(d):
-                for q in range(d):
-                    e = np.zeros((total, total), dtype=complex)
-                    e[off + p, off + q] = 1.0
-                    units.append(e)
-                    positions.append((b, p, q, off + p, off + q))
-        self.dim = len(units)
-        self._positions = positions
-        self._index = {(b, p, q): i for i, (b, p, q, _, _) in enumerate(positions)}
-        self.span = DenseSpan(np.stack(units))
-        self.identity = np.eye(total, dtype=complex)
+        rows, cols = [], []
+        for off, d in zip(self.offsets, blocks):
+            p, q = np.divmod(np.arange(d * d), d)
+            rows.append(off + p)
+            cols.append(off + q)
+        self.rows = np.concatenate(rows)
+        self.cols = np.concatenate(cols)
+        self.dim = self.rows.size
+        self.flat_index = self.rows * total + self.cols
         # Index of each unit in the column-stacked vec(M_D).
-        self.vec_index = np.array([gp + total * gq for *_, gp, gq in positions], dtype=int)
+        self.vec_index = self.rows + total * self.cols
+        # unit index at each global position, -1 off the support
+        self._index = np.full((total, total), -1)
+        self._index[self.rows, self.cols] = np.arange(self.dim)
+        self._off_support = (self._index < 0).reshape(-1)
+        self.identity = np.eye(total, dtype=complex)
 
     def __repr__(self):
         return f"BlockAlgebra(blocks={self.blocks})"
 
     def unit(self, i):
-        return self.span.basis[i]
+        e = np.zeros(self.shape, dtype=complex)
+        e[self.rows[i], self.cols[i]] = 1.0
+        return e
 
     def unit_position(self, i):
         """(block, row-in-block, col-in-block, global row, global col)."""
-        return self._positions[i]
+        gp, gq = int(self.rows[i]), int(self.cols[i])
+        b = int(np.searchsorted(self.offsets, gp, side="right")) - 1
+        off = int(self.offsets[b])
+        return b, gp - off, gq - off, gp, gq
 
     def unit_index(self, block, p, q):
-        return self._index[(block, p, q)]
+        if not (0 <= p < self.blocks[block] and 0 <= q < self.blocks[block]):
+            raise ValidationError(f"no unit ({p}, {q}) in block {block}")
+        off = self.offsets[block]
+        return int(self._index[off + p, off + q])
 
     def unit_product(self, i, j):
         """Index of unit(i) @ unit(j), or None if the product vanishes."""
-        b1, p1, q1, _, _ = self._positions[i]
-        b2, p2, q2, _, _ = self._positions[j]
-        if b1 != b2 or q1 != p2:
+        if self.cols[i] != self.rows[j]:
             return None
-        return self._index[(b1, p1, q2)]
+        return int(self._index[self.rows[i], self.cols[j]])
 
     def adjoint_index(self, i):
-        b, p, q, _, _ = self._positions[i]
-        return self._index[(b, q, p)]
+        return int(self._index[self.cols[i], self.rows[i]])
 
     def coeffs(self, x, require=False, tol=DEFAULT_TOL):
-        return self.span.coeffs(x, tol=tol, require=require)
+        """Coordinates of ``x``, one matrix or a (k, D, D) stack, by a gather.
+
+        With ``require``, an operator whose mass off the support exceeds
+        ``tol * max(1, ||x||)`` raises :class:`MembershipError`, carrying the
+        residual and, for a stack, the index of the first offender.
+        """
+        x = np.asarray(x, dtype=complex)
+        flat = x.reshape(-1, self.total_dim**2)
+        c = flat[:, self.flat_index]
+        if require:
+            res = np.linalg.norm(self._off(flat), axis=1)
+            bad = np.flatnonzero(res > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1)))
+            if bad.size:
+                i = int(bad[0])
+                raise MembershipError(
+                    "operator lies outside the span",
+                    float(res[i]),
+                    index=None if x.ndim == 2 else i,
+                )
+        return c[0] if x.ndim == 2 else c
 
     def element(self, c):
-        return self.span.matrix(c)
+        """The element with coordinates ``c``; a (k, dim) array gives a stack."""
+        c = np.asarray(c, dtype=complex)
+        out = np.zeros(c.shape[:-1] + (self.total_dim**2,), dtype=complex)
+        out[..., self.flat_index] = c
+        return out.reshape(c.shape[:-1] + self.shape)
+
+    matrix = element
+
+    def _off(self, flat):
+        """The entries of flattened operators off the support, zeros elsewhere."""
+        return np.where(self._off_support, flat, 0)
 
     def residual(self, x):
-        return self.span.residual(x)
+        """Frobenius distance from ``x`` to the algebra: its mass off the support."""
+        return frob_norm(self._off(np.asarray(x, dtype=complex).reshape(-1)))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        return self.span.contains(x, tol=tol)
+        return self.residual(x) <= tol * max(1.0, frob_norm(x))
 
 
 def make_algebra(blocks, max_dim=MAX_ALGEBRA_DIM):
@@ -149,13 +197,14 @@ class CbMap:
             self.coords = coords
             return
         if kraus is not None:
+            # L E_pq R* is the outer product of column p of L with column q of conj(R).
             images = np.zeros((algebra.dim, d, d), dtype=complex)
             for left, right in kraus:
                 left = np.asarray(left, dtype=complex)
                 right = np.asarray(right, dtype=complex)
                 if left.shape != (d, d) or right.shape != (d, d):
                     raise ValidationError(f"Kraus factors must be {d} x {d}")
-                images += left @ algebra.span.basis @ dagger(right)
+                images += left.T[algebra.rows, :, None] * right.T[algebra.cols, None, :].conj()
         else:
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (d * d, d * d):
@@ -328,13 +377,9 @@ class GroupAction:
                     )
 
     def _conj_coords(self, w):
-        alg = self.algebra
-        cols = []
-        for i in range(alg.dim):
-            _, _, _, gp, gq = alg.unit_position(i)
-            image = np.outer(w[:, gp], w[:, gq].conj())
-            cols.append(alg.coeffs(image))
-        return np.stack(cols, axis=1)
+        # Entry j of w E_pq w* is w[rows[j], p] * conj(w[cols[j], q]).
+        rows, cols = self.algebra.rows, self.algebra.cols
+        return w[np.ix_(rows, rows)] * w[np.ix_(cols, cols)].conj()
 
     def unitary(self, r):
         """The implementing unitary U_r P_r on the ambient space."""
@@ -360,9 +405,7 @@ class GroupAction:
         avg = (avg + dagger(avg)) / 2
         vals, vecs = np.linalg.eigh(avg)
         keep = vals > 1 - max(tol, 1e-8)
-        return np.stack(
-            [self.algebra.element(vecs[:, j]) for j in np.flatnonzero(keep)]
-        )
+        return self.algebra.element(vecs[:, keep].T)
 
 
 def make_action(group, algebra, unitaries=None, block_perms=None, tol=DEFAULT_TOL):
@@ -458,8 +501,7 @@ def commutant_basis(algebra, elements, tol=1e-9):
     system = np.concatenate(rows, axis=0)
     _, svals, vh = np.linalg.svd(system)
     null_mask = np.concatenate([svals, np.zeros(m - len(svals))]) <= tol
-    basis = [algebra.element(vh[j].conj()) for j in np.flatnonzero(null_mask)]
-    return np.stack(basis)
+    return algebra.element(vh[null_mask].conj())
 
 
 def sample_element(rng, algebra, hermitian=False):

@@ -66,6 +66,7 @@ class CrossedProductModel:
         self.mb_algebra = BlockAlgebra(
             tuple(b * n for b in self.algebra.blocks), max_dim=None
         )
+        self._second_dual = None
 
     def __repr__(self):
         return (
@@ -213,14 +214,17 @@ def second_dual_action(model):
     """The product action alpha (x) Ad(right translation) on M (x) B(l2 G).
 
     Its fixed points are exactly the crossed-product span, which is what
-    makes restriction back to the crossed product well-defined.
+    makes restriction back to the crossed product well-defined.  The action
+    is built and validated on first use and kept by the model.
     """
-    g = model.group
-    act = model.action
-    unitaries = [
-        kron(act.inner_unitaries[r], right_regular(g, r)) for r in g.elements
-    ]
-    return make_action(g, model.mb_algebra, unitaries=unitaries, block_perms=act.block_perms)
+    if model._second_dual is None:
+        g = model.group
+        act = model.action
+        unitaries = [kron(act.inner_unitaries[r], right_regular(g, r)) for r in g.elements]
+        model._second_dual = make_action(
+            g, model.mb_algebra, unitaries=unitaries, block_perms=act.block_perms
+        )
+    return model._second_dual
 
 
 class DoubleSpan:
@@ -292,8 +296,7 @@ class DoubleSpan:
         return self.coeffs_with_residual(x)[1]
 
 
-def word_extension(dom_span, cod_span, generators, target_dim, max_len=3,
-                   rel_tol=_EXTENSION_REL_TOL):
+def word_extension(generators, target_dim, max_len=3, rel_tol=_EXTENSION_REL_TOL):
     """Breadth-first extension of generator words until the domain span fills.
 
     ``generators`` is a list of (label, domain matrix, image matrix).  Words
@@ -398,19 +401,9 @@ class DualityIso:
         return self.report
 
     def _unital_residual(self):
-        dom_eye = np.eye(self._dom_rows(), dtype=complex)
-        cod_eye = np.eye(self._cod_rows(), dtype=complex)
+        dom_eye = np.eye(self.domain.shape[0], dtype=complex)
+        cod_eye = np.eye(self.codomain.shape[0], dtype=complex)
         return frob_norm(self.apply(dom_eye, require=True, tol=1e-8) - cod_eye)
-
-    def _dom_rows(self):
-        if hasattr(self.domain, "basis"):
-            return self.domain.basis.shape[1]
-        return self.domain.shape[0]
-
-    def _cod_rows(self):
-        if hasattr(self.codomain, "basis"):
-            return self.codomain.basis.shape[1]
-        return self.codomain.shape[0]
 
 
 def takai_generators(model):
@@ -443,12 +436,12 @@ def takai_duality(model, rng=None):
     *-homomorphism residuals).
     """
     rng = rng or np.random.default_rng(0xA11CE)
-    dom = model.mb_algebra.span
+    dom = model.mb_algebra
     cod = DoubleSpan(model)
     gens = takai_generators(model)
     target = model.span.dim * model.group.order
-    words = word_extension(dom, cod, gens, target_dim=target)
-    dm = np.stack([dom.coeffs(w, require=True) for w, _ in words], axis=1)
+    words = word_extension(gens, target_dim=target)
+    dm = dom.coeffs(np.stack([w for w, _ in words]), require=True).T
     im = np.stack([cod.coeffs(w, require=True, tol=1e-8) for _, w in words], axis=1)
     coords = im @ np.linalg.inv(dm)
     report = {
@@ -502,12 +495,12 @@ def stone_von_neumann(algebra, group, rng=None):
             )
         )
     target = algebra.dim * n * n
-    words = word_extension(model.span, mb.span, gens, target_dim=target, max_len=2)
+    words = word_extension(gens, target_dim=target, max_len=2)
     dm = np.stack([model.span.coeffs(w, require=True, tol=1e-8) for w, _ in words], axis=1)
-    im = np.stack([mb.span.coeffs(w, require=True, tol=1e-8) for _, w in words], axis=1)
+    im = mb.coeffs(np.stack([w for _, w in words]), require=True, tol=1e-8).T
     coords = im @ np.linalg.inv(dm)
     report = {"rank": len(words), "condition": float(np.linalg.cond(dm))}
-    iso = DualityIso(model.span, mb.span, coords, report)
+    iso = DualityIso(model.span, mb, coords, report)
     relations = [(label.split("_")[0] + "_gen", dmat, imat) for label, dmat, imat in gens]
     iso.validate(relations, rng)
     iso.domain_model = model

@@ -24,7 +24,7 @@ either side: it is the primal objective of an infeasible-start method, within
 the reported duality gap of the optimum.
 """
 
-import weakref
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,19 +119,14 @@ def apply_symbol(symbol, kernel):
     return kernel_operator(out)
 
 
-_FULL_ALGEBRAS = weakref.WeakValueDictionary()
-
-
+@functools.lru_cache
 def _full_algebra(side):
-    """The full matrix algebra M_side, shared by every live map on it.
+    """The full matrix algebra M_side, shared by every map on it.
 
-    The cache holds it weakly: its dense basis of (side^2)^2 entries is too
-    large to pin for the life of the process.
+    An algebra is index arrays of O(side^2) entries, so keeping one per size
+    for the life of the process is cheap.
     """
-    algebra = _FULL_ALGEBRAS.get(side)
-    if algebra is None:
-        algebra = _FULL_ALGEBRAS[side] = make_algebra((side,), max_dim=None)
-    return algebra
+    return make_algebra((side,), max_dim=None)
 
 
 def schur_map(symbol):

@@ -145,9 +145,7 @@ def restrict_to_crossed(model, mapping):
     k = mb.dim
     if coords.shape != (k, k):
         raise ValidationError(f"ambient coordinate matrix must be {k} x {k}")
-    emb = np.stack(
-        [mb.coeffs(model.span.basis[j]) for j in range(model.span.dim)], axis=1
-    )
+    emb = mb.coeffs(model.span.basis).T
     pinv = emb.conj().T / model.group.order
     restricted = pinv @ coords @ emb
     leak = frob_norm(coords @ emb - emb @ restricted)
@@ -166,15 +164,13 @@ def check_invariance(model, symbol, tol=1e-10):
     if symbol.nx != n or symbol.ny != n:
         raise ValidationError("grid must be indexed by the group on both sides")
     act = model.action
+    cells = np.stack([np.stack([phi.coords for phi in row]) for row in symbol.maps])
     worst = 0.0
     for r in g.elements:
-        ar = act.coords(r)
-        ari = act.coords(g.inv(r))
-        for x in g.elements:
-            for y in g.elements:
-                want = ari @ symbol.maps[x][y].coords @ ar
-                got = symbol.maps[g.mult(x, r)][g.mult(y, r)].coords
-                worst = max(worst, float(np.linalg.norm(got - want)))
+        want = act.coords(g.inv(r)) @ cells @ act.coords(r)
+        moved = g.table[:, r]  # x -> x r
+        got = cells[np.ix_(moved, moved)]
+        worst = max(worst, float(np.linalg.norm(got - want, axis=(2, 3)).max()))
     return CheckResult(ok=worst <= tol, residual=worst, tol=tol)
 
 

@@ -1,10 +1,13 @@
 """Tests for block algebras, completely bounded maps, actions, and modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from multlab import algebras as al
 from multlab import groups as gr
+from multlab import numerics as nm
 from multlab.errors import ActionError, MembershipError, ValidationError
 
 
@@ -60,8 +63,6 @@ def test_cbmap_kraus_matches_matrix_action():
     expected = sum(l @ x @ r.conj().T for l, r in zip(lefts, rights))
     np.testing.assert_allclose(phi.apply(x), expected, atol=1e-12)
     # The vectorized matrix computes the same action.
-    from multlab import numerics as nm
-
     np.testing.assert_allclose(nm.unvec(phi.matrix @ nm.vec(x)), expected, atol=1e-12)
 
 
@@ -212,3 +213,92 @@ def test_commutant_basis():
     assert comm.shape[0] == 2
     for c in comm:
         np.testing.assert_allclose(c, np.diag(np.diag(c)), atol=1e-12)
+
+
+ORACLE_BLOCKS = [(1,), (2,), (2, 2), (1, 2, 3)]
+
+
+def dense_unit_span(m):
+    """The unit basis as a stored (dim, D, D) stack: the reference for the index algebra."""
+    units = np.zeros((m.dim, m.total_dim, m.total_dim), dtype=complex)
+    for i in range(m.dim):
+        _, _, _, gp, gq = m.unit_position(i)
+        units[i, gp, gq] = 1.0
+    return nm.DenseSpan(units)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("blocks", ORACLE_BLOCKS)
+def test_index_algebra_matches_dense_span(blocks):
+    rng = np.random.default_rng(sum(blocks) * 7 + len(blocks))
+    m = al.make_algebra(blocks)
+    span = dense_unit_span(m)
+    d = m.total_dim
+    for i in range(m.dim):
+        np.testing.assert_array_equal(m.unit(i), span.basis[i])
+    inside = m.element(_complex_normal(rng, (3, m.dim)))
+    outside = _complex_normal(rng, (3, d, d))
+    for xs in (inside, outside):
+        np.testing.assert_array_equal(m.coeffs(xs), span.coeffs(xs))
+        for x in xs:
+            np.testing.assert_array_equal(m.coeffs(x), span.coeffs(x))
+            assert m.residual(x) == span.residual(x)
+            assert m.contains(x) == span.contains(x)
+    for c in _complex_normal(rng, (3, m.dim)):
+        np.testing.assert_array_equal(m.element(c), span.matrix(c))
+    np.testing.assert_array_equal(m.coeffs(inside, require=True), span.coeffs(inside, require=True))
+    if m.dim == d * d:
+        return  # a full matrix algebra has no outside
+    stack = inside.copy()
+    stack[1] = outside[1]
+    single = outside[2]
+    for xs in (stack, single):
+        with pytest.raises(MembershipError) as want:
+            span.coeffs(xs, require=True)
+        with pytest.raises(MembershipError) as got:
+            m.coeffs(xs, require=True)
+        assert str(got.value) == str(want.value)
+        assert got.value.residual == want.value.residual
+        assert got.value.index == want.value.index
+
+
+def _projected_action_coords(span, w):
+    """alpha(x) = w x w* on the unit basis, one projection per unit image."""
+    cols = []
+    for i in range(span.dim):
+        gp, gq = np.argwhere(span.basis[i])[0]
+        cols.append(span.coeffs(np.outer(w[:, gp], w[:, gq].conj())))
+    return np.stack(cols, axis=1)
+
+
+def test_action_coords_match_projection():
+    rng = np.random.default_rng(41)
+    g = gr.make_cyclic(3)
+    translation = al.translation_action(g)
+    m = al.make_algebra((2, 2))
+    v = al.sample_unitary(rng, 2)
+    swap = al.make_action(
+        gr.make_cyclic(2),
+        m,
+        unitaries=[np.eye(4), np.kron(np.diag([1.0, 0.0]), v) + np.kron(np.diag([0.0, 1.0]), v.conj().T)],
+        block_perms=[[0, 1], [1, 0]],
+    )
+    for act in (translation, swap):
+        span = dense_unit_span(act.algebra)
+        for r in act.group.elements:
+            want = _projected_action_coords(span, act.unitary(r))
+            np.testing.assert_array_equal(act.coords(r), want)
+
+
+def test_full_algebra_stores_no_unit_stack():
+    tracemalloc.start()
+    try:
+        m = al.make_algebra((25,), max_dim=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.dim == 625
+    assert peak < 1 << 20

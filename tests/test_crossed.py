@@ -251,8 +251,7 @@ def _beta_element(beta_algebra, m, a, slot):
 def test_extension_error_when_generators_insufficient():
     model = sign_model()
     dspan = cr.DoubleSpan(model)
-    mb = model.mb_algebra
     # Only the algebra generators: their words never leave one fiber.
     gens = [g for g in cr.takai_generators(model) if g[0].startswith("algebra")]
     with pytest.raises(ExtensionError):
-        cr.word_extension(mb.span, dspan, gens, target_dim=dspan.dim)
+        cr.word_extension(gens, target_dim=dspan.dim)

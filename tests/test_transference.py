@@ -14,6 +14,8 @@ from multlab import cbnorm as cb
 from multlab import crossed as cr
 from multlab import groups as gr
 from multlab import herzschur as hz
+from multlab import numerics as nm
+from multlab import schur as sc
 from multlab import transference as tr
 from multlab.errors import NotMultiplierError
 
@@ -185,3 +187,44 @@ def test_hs_cb_norm_values():
         model, hz.FiberSymbol.from_scalar_vector(g, alg, [3.0, -3.0])
     )
     np.testing.assert_allclose(scaled, 3.0, atol=3e-6)
+
+
+def test_second_dual_action_is_built_once_per_model():
+    g = gr.make_cyclic(3)
+    model = cr.CrossedProductModel(al.translation_action(g))
+    assert cr.second_dual_action(model) is cr.second_dual_action(model)
+    rng = np.random.default_rng(86)
+    raw = al.sample_cbmap(rng, model.mb_algebra)
+    avg = tr.invariant_average(model, raw)
+    act = model.action
+    fresh = al.make_action(
+        g,
+        model.mb_algebra,
+        unitaries=[nm.kron(act.inner_unitaries[r], gr.right_regular(g, r)) for r in g.elements],
+        block_perms=act.block_perms,
+    )
+    want = sum(fresh.coords(g.inv(r)) @ raw.coords @ fresh.coords(r) for r in g.elements) / g.order
+    np.testing.assert_allclose(avg.coords, want, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(tr.invariant_average(model, raw).coords, avg.coords)
+
+
+def test_check_invariance_matches_cellwise_loop():
+    model = sign_model()
+    g = model.group
+    rng = np.random.default_rng(87)
+    grid = sc.SchurSymbol(
+        [[al.sample_cbmap(rng, model.algebra) for _ in g.elements] for _ in g.elements]
+    )
+    act = model.action
+    worst = max(
+        np.linalg.norm(
+            grid.maps[g.mult(x, r)][g.mult(y, r)].coords
+            - act.coords(g.inv(r)) @ grid.maps[x][y].coords @ act.coords(r)
+        )
+        for r in g.elements
+        for x in g.elements
+        for y in g.elements
+    )
+    check = tr.check_invariance(model, grid)
+    np.testing.assert_allclose(check.residual, worst, rtol=1e-14)
+    assert not check.ok
