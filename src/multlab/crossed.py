@@ -5,9 +5,15 @@ M (x) B(l2 G), ambient dimension D*n with the M index slow: the algebra embeds
 covariantly as ``rep(a) = sum_s alpha_{s^-1}(a) (x) E_ss`` and the group by
 ``u_r = 1 (x) lambda_r``.  Products ``rep(a) u_r`` over a basis of M and all
 group elements form a Hilbert-Schmidt orthogonal basis (Gram = n * identity)
-of the crossed product span; every element has block
-``(s, r^-1 s) = alpha_{s^-1}(a_r)`` so coefficients are recovered by exact
-block reads averaged over s.
+of the crossed product span, so coordinates are projections on that span
+(``model.span``), and :meth:`CrossedProductModel.fiber_split` splits them
+into the fiber parts ``x_r`` with ``x = sum_r x_r``.
+
+The fiber-tagging coaction ``x_r -> x_r (x) lambda_r`` and the double
+construction below both place fiber parts at the positions ``(rp, p)`` of
+the group index they add: :func:`fiber_tag` writes them in one scatter
+from the Cayley table, and :class:`DoubleSpan` reads them back in one
+gather and one projection.
 
 Two dualities are realized as explicit coordinate isomorphisms, both built by
 breadth-first generator-word extension (words of length at most three must
@@ -26,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import BlockAlgebra, CheckResult, GroupAction, make_action
-from .errors import ExtensionError, ValidationError
+from .errors import ExtensionError, MembershipError, ValidationError
 from .groups import left_regular, right_regular
 from .numerics import DEFAULT_TOL, DenseSpan, dagger, frob_norm, kron, vec
 
@@ -99,22 +105,34 @@ class CrossedProductModel:
             view[:, s, :, self.group.mult(rinv, s)] = self.action.apply_inverse(s, a)
         return out
 
-    def basis(self, i, r):
-        return self.span.basis[i * self.group.order + r]
-
     def coeffs(self, x, require=False, tol=DEFAULT_TOL):
         return self.span.coeffs(x, tol=tol, require=require)
 
-    def fiber_coeffs(self, x, r):
-        """Coordinates in M of the fiber-r symbol of x, by block reads."""
+    def fiber_split(self, c):
+        """Split coordinates ``c`` (shape (..., dim)) by fiber.
+
+        Row r of the result, shape (..., n, dim), keeps the fiber-r entries
+        ``i * n + r`` of ``c`` and zeros the rest, so ``span.matrix`` of it
+        is the stack of fiber parts x_r, which sum to ``span.matrix(c)``.
+        """
         n = self.group.order
-        d = self.algebra.total_dim
-        view = np.asarray(x, dtype=complex).reshape(d, n, d, n)
-        rinv = self.group.inv(r)
-        avg = np.zeros((d, d), dtype=complex)
-        for s in self.group.elements:
-            avg += self.action.apply(s, view[:, s, :, self.group.mult(rinv, s)])
-        return self.algebra.coeffs(avg / n)
+        mask = np.tile(np.eye(n), self.algebra.dim)
+        return np.asarray(c, dtype=complex)[..., None, :] * mask
+
+
+def fiber_tag(group, blocks):
+    """sum_{r,p} blocks[..., r, p] (x) E_{rp,p}, as one indexed assignment.
+
+    ``blocks`` has shape (..., n, n, a, a), or (..., n, 1, a, a) for the same
+    block at every p; the result has shape (..., a*n, a*n), the new group
+    index fastest.  For fixed p, r -> rp is a bijection, so no two blocks
+    share a position.
+    """
+    n = group.order
+    *lead, _, _, a, _ = blocks.shape
+    out = np.zeros((*lead, a, n, a, n), dtype=complex)
+    out[..., :, group.table, :, np.arange(n)] = np.moveaxis(blocks, (-4, -3), (0, 1))
+    return out.reshape(*lead, a * n, a * n)
 
 
 class DualCoaction:
@@ -124,50 +142,36 @@ class DualCoaction:
         self.model = model
         self._group_lams = [left_regular(model.group, r) for r in model.group.elements]
 
-    def _assemble(self, fiber_coords):
-        """Build sum_{i,r} c[i,r] basis(i,r) (x) lambda_r from fiber coords."""
+    def _assemble(self, c):
+        """sum_r x_r (x) lambda_r, x_r the fiber parts of coordinates ``c``.
+
+        ``c`` has shape (..., dim); leading axes give a stack of results.
+        """
         model = self.model
-        n = model.group.order
-        d = model.algebra.total_dim
-        m = model.algebra.dim
-        out = np.zeros((d * n * n, d * n * n), dtype=complex)
-        view = out.reshape(d, n, n, d, n, n)
-        for r in model.group.elements:
-            z = np.zeros(m * n, dtype=complex)
-            z[r::n] = fiber_coords[:, r]
-            xr = model.span.matrix(z).reshape(d, n, d, n)
-            for p in model.group.elements:
-                view[:, :, model.group.mult(r, p), :, :, p] += xr
-        return out
+        parts = model.span.matrix(model.fiber_split(c))
+        return fiber_tag(model.group, parts[..., None, :, :])
 
     def apply(self, x, tol=DEFAULT_TOL):
-        c = self.model.coeffs(x, require=True, tol=tol)
-        m = self.model.algebra.dim
-        n = self.model.group.order
-        return self._assemble(c.reshape(m, n))
+        return self._assemble(self.model.coeffs(x, require=True, tol=tol))
 
     def extract(self, y):
-        """Invert on the image span by structured reads; returns (coords, residual)."""
+        """Invert on the image span; returns (coords of shape (m, n), residual).
+
+        The coordinates of fiber r are the double-span coordinates of y at
+        (r, p), averaged over p.
+        """
         model = self.model
-        n = model.group.order
-        d = model.algebra.total_dim
         m = model.algebra.dim
-        view = np.asarray(y, dtype=complex).reshape(d, n, n, d, n, n)
-        coords = np.zeros((m, n), dtype=complex)
-        for r in model.group.elements:
-            xr = np.zeros((d * n, d * n), dtype=complex)
-            xr4 = xr.reshape(d, n, d, n)
-            for q in model.group.elements:
-                xr4[:, :, :, :] += view[:, :, model.group.mult(r, q), :, :, q]
-            coords[:, r] = model.fiber_coeffs(xr / n, r)
-        residual = frob_norm(y - self._assemble(coords))
+        n = model.group.order
+        coords = DoubleSpan(model).coeffs(y).reshape(m, n, n).mean(axis=2)
+        residual = frob_norm(y - self._assemble(coords.reshape(-1)))
         return coords, float(residual)
 
     def coaction_identity_check(self, x, tol=1e-9):
         """Compare (delta (x) id) o delta with (id (x) coproduct) o delta on x.
 
-        The left side reuses the coaction's own structured inverse; the right
-        side decomposes the last tensor factor in the translation basis
+        The left side tags the coaction's own inverse twice; the right side
+        decomposes the last tensor factor in the translation basis
         independently, so the two assemblies cross-check each other.
         """
         model = self.model
@@ -176,17 +180,8 @@ class DualCoaction:
         d = model.algebra.total_dim
         y = self.apply(x)
         coords, res_extract = self.extract(y)
-
-        big = d * n * n * n
-        lhs = np.zeros((big, big), dtype=complex)
-        lview = lhs.reshape(d, n, n, n, d, n, n, n)
-        for r in g.elements:
-            z = np.zeros(model.span.dim, dtype=complex)
-            z[r::n] = coords[:, r]
-            xr = model.span.matrix(z).reshape(d, n, d, n)
-            for p in g.elements:
-                for q in g.elements:
-                    lview[:, :, g.mult(r, p), g.mult(r, q), :, :, p, q] += xr
+        tagged_fibers = self._assemble(model.fiber_split(coords.reshape(-1)))
+        lhs = fiber_tag(g, tagged_fibers[:, None])
 
         # Independent route: per-slice decomposition of the last factor of y
         # against the translation unitaries, then tensoring the coproduct in.
@@ -194,6 +189,7 @@ class DualCoaction:
         slices = y.reshape(d * n, n, d * n, n).transpose(0, 2, 1, 3).reshape(-1, n * n)
         w = slices @ lam_flat.conj().T / n
         leak = frob_norm(slices - w @ lam_flat)
+        big = d * n * n * n
         rhs = np.zeros((big, big), dtype=complex)
         rview = rhs.reshape(d * n, n, n, d * n, n, n)
         for r in g.elements:
@@ -231,8 +227,9 @@ class DoubleSpan:
     """Span of rep(a) u_r (x) lambda_r m_{delta_p} inside M_(D n^2).
 
     Basis index (i, r, p) -> (i*n + r)*n + p.  The second tensor factor of a
-    basis element is the single matrix unit E_{rp, p}, so coefficient reads
-    reduce to fiber extraction on (p', p) blocks with r = p' p^-1.
+    basis element is the single matrix unit E_{rp, p}: elements are written
+    by :func:`fiber_tag`, and read by gathering the (rp, p) blocks and
+    projecting each on the crossed span, keeping its fiber r.
     """
 
     def __init__(self, model):
@@ -241,54 +238,29 @@ class DoubleSpan:
         self.dim = model.span.dim * n
         self.shape = (model.ambient_dim * n, model.ambient_dim * n)
 
-    def basis_matrix(self, k):
-        n = self.model.group.order
-        p = k % n
-        r = (k // n) % n
-        i = k // (n * n)
-        e = np.zeros((n, n), dtype=complex)
-        e[self.model.group.mult(r, p), p] = 1.0
-        return kron(self.model.basis(i, r), e)
-
     def matrix(self, c):
         model = self.model
-        g = model.group
-        n = g.order
-        d = model.algebra.total_dim
-        m = model.algebra.dim
-        c = np.asarray(c, dtype=complex).reshape(m, n, n)
-        out = np.zeros(self.shape, dtype=complex)
-        view = out.reshape(d, n, n, d, n, n)
-        for r in g.elements:
-            for p in g.elements:
-                z = np.zeros(model.span.dim, dtype=complex)
-                z[r::n] = c[:, r, p]
-                view[:, :, g.mult(r, p), :, :, p] += model.span.matrix(z).reshape(
-                    d, n, d, n
-                )
-        return out
+        n = model.group.order
+        by_p = np.asarray(c, dtype=complex).reshape(-1, n).T
+        parts = model.span.matrix(model.fiber_split(by_p))
+        return fiber_tag(model.group, parts.swapaxes(0, 1))
 
     def coeffs_with_residual(self, x):
         model = self.model
         g = model.group
         n = g.order
-        d = model.algebra.total_dim
-        m = model.algebra.dim
-        view = np.asarray(x, dtype=complex).reshape(d, n, n, d, n, n)
-        c = np.zeros((m, n, n), dtype=complex)
-        for pp in g.elements:
-            for q in g.elements:
-                r = g.mult(pp, g.inv(q))
-                block = view[:, :, pp, :, :, q].reshape(d * n, d * n)
-                c[:, r, q] = model.fiber_coeffs(block, r)
+        a = model.ambient_dim
+        x4 = np.asarray(x, dtype=complex).reshape(a, n, a, n)
+        blocks = x4[:, g.table, :, np.arange(n)].reshape(n * n, a, a)
+        coords = model.span.coeffs(blocks).reshape(n, n, model.algebra.dim, n)
+        fibers = np.arange(n)
+        c = coords[fibers, :, :, fibers].transpose(2, 0, 1)
         residual = frob_norm(x - self.matrix(c))
         return c.reshape(-1), float(residual)
 
     def coeffs(self, x, tol=DEFAULT_TOL, require=False):
         c, residual = self.coeffs_with_residual(x)
         if require and residual > tol * max(1.0, frob_norm(x)):
-            from .errors import MembershipError
-
             raise MembershipError("operator lies outside the double span", residual)
         return c
 
@@ -349,18 +321,17 @@ def word_extension(generators, target_dim, max_len=3, rel_tol=_EXTENSION_REL_TOL
 class DualityIso:
     """A coordinate *-isomorphism between two operator spans.
 
-    ``coords`` maps domain coordinates to codomain coordinates; the inverse is
-    kept factored.  ``report`` records the construction's validation residuals.
+    ``coords`` maps domain coordinates to codomain coordinates; ``inverse``,
+    computed once here, maps them back.  ``report`` records the construction's
+    validation residuals.
     """
 
     def __init__(self, domain, codomain, coords, report=None):
         self.domain = domain
         self.codomain = codomain
         self.coords = coords
+        self.inverse = np.linalg.inv(coords)
         self.report = report or {}
-
-    def _solve(self, rhs):
-        return np.linalg.solve(self.coords, rhs)
 
     def apply(self, x, require=True, tol=1e-8):
         c = self.domain.coeffs(x, tol=tol, require=require)
@@ -368,7 +339,7 @@ class DualityIso:
 
     def inverse_apply(self, y, require=True, tol=1e-8):
         c = self.codomain.coeffs(y, tol=tol, require=require)
-        return self.domain.matrix(self._solve(c))
+        return self.domain.matrix(self.inverse @ c)
 
     def validate(self, relations, rng, samples=6, tol=1e-8):
         """Populate the report: generator relations, *-homomorphism residuals."""

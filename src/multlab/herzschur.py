@@ -17,7 +17,7 @@ ambient multiplication by ``b (x) 1`` preserve the crossed-product span.
 import numpy as np
 
 from .algebras import CbMap, CheckResult
-from .crossed import dual_coaction
+from .crossed import dual_coaction, fiber_tag
 from .errors import CompatibilityError, NotMultiplierError, ValidationError
 from .numerics import frob_norm
 
@@ -124,24 +124,14 @@ def _off_fiber_mass(model, coords):
 def _coproduct_residual(model, coords, rng, samples):
     """Worst sampled residual of delta(T x) = (T tensor id)(delta x)."""
     delta = dual_coaction(model)
-    g = model.group
-    n = g.order
-    d = model.algebra.total_dim
-    m = model.algebra.dim
+    k = model.span.dim
     worst = 0.0
     for _ in range(samples):
-        c = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c /= np.linalg.norm(c)
         lhs = delta.apply(model.span.matrix(coords @ c))
-        rhs = np.zeros((d * n * n, d * n * n), dtype=complex)
-        rview = rhs.reshape(d, n, n, d, n, n)
-        cm = c.reshape(m, n)
-        for r in g.elements:
-            z = np.zeros(m * n, dtype=complex)
-            z[r::n] = cm[:, r]
-            txr = model.span.matrix(coords @ z).reshape(d, n, d, n)
-            for p in g.elements:
-                rview[:, :, g.mult(r, p), :, :, p] += txr
+        mapped_fibers = model.span.matrix(model.fiber_split(c) @ coords.T)
+        rhs = fiber_tag(model.group, mapped_fibers[:, None])
         worst = max(worst, frob_norm(lhs - rhs))
     return worst
 

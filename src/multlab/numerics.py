@@ -176,9 +176,9 @@ class DenseSpan:
         return c[0] if x.ndim == 2 else c
 
     def matrix(self, c):
-        """The span element with coordinates ``c``."""
+        """The span element with coordinates ``c``; leading axes of ``c`` give a stack."""
         c = np.asarray(c, dtype=complex)
-        return (c @ self._flat).reshape(self.shape)
+        return (c @ self._flat).reshape(c.shape[:-1] + self.shape)
 
     def project(self, x):
         return self.matrix(self.coeffs(x))

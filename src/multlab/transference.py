@@ -84,7 +84,7 @@ def schur_extension(model, source, iso=None):
         fc = symbol.fibers[r].coords
         for p in g.elements:
             view[:, r, p, :, r, p] = fc
-    ext = np.linalg.solve(iso.coords, amplified @ iso.coords)
+    ext = iso.inverse @ (amplified @ iso.coords)
     return CbMap.from_coords(model.mb_algebra, ext)
 
 

@@ -108,12 +108,16 @@ def test_coeffs_roundtrip_and_fibers():
     c = rng.standard_normal(model.span.dim) + 1j * rng.standard_normal(model.span.dim)
     x = model.span.matrix(c)
     np.testing.assert_allclose(model.coeffs(x), c, atol=1e-11)
-    # Fiber reads match the flat coordinates.
-    m = model.algebra.dim
+    # The fiber parts sum to x, and part r is the fiber-r element of its coordinates.
+    parts = model.span.matrix(model.fiber_split(c))
+    np.testing.assert_allclose(parts.sum(axis=0), x, atol=1e-11)
+    cm = c.reshape(model.algebra.dim, model.group.order)
     for r in model.group.elements:
-        np.testing.assert_allclose(
-            model.fiber_coeffs(x, r), c.reshape(m, model.group.order)[:, r], atol=1e-11
+        want = sum(
+            cm[i, r] * model.element_of(model.algebra.unit(i), r)
+            for i in range(model.algebra.dim)
         )
+        np.testing.assert_allclose(parts[r], want, atol=1e-11)
 
 
 def test_dual_coaction_on_basis():
@@ -179,6 +183,83 @@ def test_double_span_roundtrip():
     y[0, -1] += 0.5
     _, res2 = dspan.coeffs_with_residual(y)
     assert res2 > 0.3
+
+
+def _reference_double_matrix(model, c):
+    """Per-block loop: sum over (r, p) of the fiber-r part of c[:, r, p] at (rp, p)."""
+    g = model.group
+    n = g.order
+    d = model.algebra.total_dim
+    m = model.algebra.dim
+    c = np.asarray(c, dtype=complex).reshape(m, n, n)
+    out = np.zeros((d * n * n, d * n * n), dtype=complex)
+    view = out.reshape(d, n, n, d, n, n)
+    for r in g.elements:
+        for p in g.elements:
+            z = np.zeros(model.span.dim, dtype=complex)
+            z[r::n] = c[:, r, p]
+            view[:, :, g.mult(r, p), :, :, p] += model.span.matrix(z).reshape(d, n, d, n)
+    return out
+
+
+def _reference_fiber_coeffs(model, x, r):
+    """Coordinates of the fiber-r symbol of x: block reads averaged over s."""
+    g = model.group
+    n = g.order
+    d = model.algebra.total_dim
+    view = np.asarray(x, dtype=complex).reshape(d, n, d, n)
+    avg = np.zeros((d, d), dtype=complex)
+    for s in g.elements:
+        avg += model.action.apply(s, view[:, s, :, g.mult(g.inv(r), s)])
+    return model.algebra.coeffs(avg / n)
+
+
+def _reference_double_coeffs(model, x):
+    g = model.group
+    n = g.order
+    d = model.algebra.total_dim
+    view = np.asarray(x, dtype=complex).reshape(d, n, n, d, n, n)
+    c = np.zeros((model.algebra.dim, n, n), dtype=complex)
+    for pp in g.elements:
+        for q in g.elements:
+            r = g.mult(pp, g.inv(q))
+            block = view[:, :, pp, :, :, q].reshape(d * n, d * n)
+            c[:, r, q] = _reference_fiber_coeffs(model, block, r)
+    return c.reshape(-1), nm.frob_norm(x - _reference_double_matrix(model, c))
+
+
+def _block_swap_model():
+    g = gr.make_cyclic(2)
+    m = al.make_algebra((2, 2))
+    return cr.CrossedProductModel(al.make_action(g, m, block_perms=[[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        sign_model,
+        lambda: translation_model(3),
+        lambda: translation_model(5),
+        lambda: cr.CrossedProductModel(al.translation_action(gr.make_symmetric(3))),
+        _block_swap_model,
+        lambda: cr.stone_von_neumann(al.make_algebra((2,)), gr.make_cyclic(3)).domain_model,
+    ],
+    ids=["sign", "z3-translation", "z5-translation", "s3-translation", "block-swap", "svn"],
+)
+def test_double_span_matches_block_loops(make_model):
+    model = make_model()
+    dspan = cr.DoubleSpan(model)
+    rng = np.random.default_rng(50)
+    c = rng.standard_normal(dspan.dim) + 1j * rng.standard_normal(dspan.dim)
+    x = dspan.matrix(c)
+    np.testing.assert_allclose(x, _reference_double_matrix(model, c), rtol=0, atol=1e-12)
+    off_span = x + rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    for y in (x, off_span):
+        got, residual = dspan.coeffs_with_residual(y)
+        want, want_residual = _reference_double_coeffs(model, y)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(residual - want_residual) <= 1e-12
+    assert dspan.residual(off_span) > 1.0
 
 
 def test_first_duality_generator_relations():
