@@ -27,8 +27,6 @@ an action on a subalgebra while failing to compose on the full matrix ring.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ActionError, MembershipError, ValidationError
@@ -38,19 +36,12 @@ from .numerics import (
     choi_matrix,
     dagger,
     frob_norm,
+    check_pairs,
     is_psd,
+    tol_check,
 )
 
 MAX_ALGEBRA_DIM = 16
-
-
-class CheckResult(NamedTuple):
-    """Outcome of a verification: flag, worst residual, tolerance used."""
-
-    ok: bool
-    residual: float
-    tol: float
-
 
 class BlockAlgebra:
     """Direct sum of full matrix blocks inside M_D, held as index arrays.
@@ -135,7 +126,7 @@ class BlockAlgebra:
         c = flat[:, self.flat_index]
         if require:
             res = np.linalg.norm(self._off(flat), axis=1)
-            bad = np.flatnonzero(res > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1)))
+            bad = np.flatnonzero(~tol_check(res, tol, np.linalg.norm(flat, axis=1)).ok)
             if bad.size:
                 i = int(bad[0])
                 raise MembershipError(
@@ -163,7 +154,7 @@ class BlockAlgebra:
         return frob_norm(self._off(np.asarray(x, dtype=complex).reshape(-1)))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        return self.residual(x) <= tol * max(1.0, frob_norm(x))
+        return tol_check(self.residual(x), tol, frob_norm(x)).ok
 
 
 def make_algebra(blocks, max_dim=MAX_ALGEBRA_DIM):
@@ -279,7 +270,7 @@ class CbMap:
         return is_psd(self.choi, tol=tol)
 
     def is_unital(self, tol=DEFAULT_TOL):
-        return frob_norm(self.apply(self.algebra.identity) - self.algebra.identity) <= tol
+        return check_pairs([(self.apply(self.algebra.identity), self.algebra.identity)], tol).ok
 
     def __matmul__(self, other):
         return CbMap(self.algebra, coords=self.coords @ other.coords)
@@ -356,24 +347,22 @@ class GroupAction:
                     f"inner unitary for element {r} lies outside the algebra",
                     algebra.residual(u),
                 )
-            if frob_norm(dagger(u) @ u - algebra.identity) > tol * algebra.total_dim:
+            if not check_pairs([(dagger(u) @ u, algebra.identity)], tol).ok:
                 raise ValidationError(f"matrix for element {r} is not unitary")
             ws.append(u @ _perm_matrix(algebra, block_perms[r]))
         self.inner_unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
         self.block_perms = [list(int(j) for j in p) for p in block_perms]
         self._unitaries = ws
         self._coords = [self._conj_coords(w) for w in ws]
-        ident = np.eye(algebra.dim)
-        if np.linalg.norm(self._coords[0] - ident) > tol * algebra.dim:
+        if not check_pairs([(self._coords[0], np.eye(algebra.dim))], tol).ok:
             raise ActionError("identity element does not act as the identity", pair=(0, 0))
         for r in range(n):
             for s in range(n):
-                err = np.linalg.norm(
-                    self._coords[r] @ self._coords[s] - self._coords[group.mult(r, s)]
-                )
-                if err > tol * algebra.dim:
+                pair = (self._coords[r] @ self._coords[s], self._coords[group.mult(r, s)])
+                ok, err, _ = check_pairs([pair], tol)
+                if not ok:
                     raise ActionError(
-                        f"composition fails at pair ({r}, {s})", pair=(r, s), residual=float(err)
+                        f"composition fails at pair ({r}, {s})", pair=(r, s), residual=err
                     )
 
     def _conj_coords(self, w):
@@ -446,10 +435,10 @@ class ModuleStructure:
                 raise ValidationError(f"acting element {i} lies outside the parent algebra")
         self.span = DenseSpan(np.stack(mats))
         for i, a in enumerate(mats):
-            if self.span.residual(dagger(a)) > tol:
+            if not self.span.contains(dagger(a), tol=tol):
                 raise ValidationError(f"acting span is not *-closed (element {i})")
             for j, b in enumerate(mats):
-                if self.span.residual(a @ b) > tol:
+                if not self.span.contains(a @ b, tol=tol):
                     raise ValidationError(
                         f"acting span is not closed under products (pair {i}, {j})"
                     )
@@ -459,29 +448,17 @@ class ModuleStructure:
     def element(self, i):
         return self.basis[i]
 
-    def left_coords(self, b):
-        """Coordinate matrix on the parent of left multiplication by b."""
-        alg = self.algebra
-        cols = [alg.coeffs(b @ alg.unit(i)) for i in range(alg.dim)]
-        return np.stack(cols, axis=1)
-
-    def right_coords(self, b):
-        alg = self.algebra
-        cols = [alg.coeffs(alg.unit(i) @ b) for i in range(alg.dim)]
-        return np.stack(cols, axis=1)
-
 
 def is_module_map(phi, mod, tol=DEFAULT_TOL):
     """Check phi(b a) = b phi(a) (and the right-handed twin if two-sided)."""
     alg = mod.algebra
-    worst = 0.0
+    pairs = []
     for b in mod.basis:
-        for i in range(alg.dim):
-            a = alg.unit(i)
-            worst = max(worst, frob_norm(phi.apply(b @ a) - b @ phi.apply(a)))
+        for a in map(alg.unit, range(alg.dim)):
+            pairs.append((phi.apply(b @ a), b @ phi.apply(a)))
             if mod.two_sided:
-                worst = max(worst, frob_norm(phi.apply(a @ b) - phi.apply(a) @ b))
-    return CheckResult(worst <= tol, worst, tol)
+                pairs.append((phi.apply(a @ b), phi.apply(a) @ b))
+    return check_pairs(pairs, tol)
 
 
 def fixed_point_module(action, two_sided=True, tol=1e-8):

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .numerics import frob_norm, operator_norm
+from .numerics import frob_norm, operator_norm, tol_check
 
 MAX_SDP_BLOCK = 200
 MAX_SDP_PARAMS = 4200
@@ -188,8 +188,8 @@ class _Block:
     def __init__(self, f0, fs, m):
         h = f0.shape[0]
         key, v = _canonical_triplets(fs, m, h)
-        scale = max(1.0, np.abs(f0).max(initial=0.0), np.abs(v).max(initial=0.0))
-        if np.abs(f0 - f0.conj().T).max() > 1e-12 * scale:
+        scale = max(np.abs(f0).max(initial=0.0), np.abs(v).max(initial=0.0))
+        if not tol_check(np.abs(f0 - f0.conj().T).max(), 1e-12, scale).ok:
             raise ValidationError("constant term is not Hermitian")
         p, flat = np.divmod(key, h * h)
         r, c = np.divmod(flat, h)
@@ -197,7 +197,7 @@ class _Block:
             mirror = (p * h + c) * h + r
             at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
             partner = np.where(key[at] == mirror, v[at], 0.0)
-            if np.abs(v - partner.conj()).max() > 1e-12 * scale:
+            if not tol_check(np.abs(v - partner.conj()).max(), 1e-12, scale).ok:
                 raise ValidationError("coefficient matrices are not Hermitian")
         self.f0, self.h, self.m = f0, h, m
         self.p, self.r, self.c, self.v, self.flat = p, r, c, v, flat
@@ -568,7 +568,7 @@ def cb_norm(phi, tol=1e-7, details=False):
     value = sol.value
     if phi.is_cp(tol=1e-8):
         ref = operator_norm(phi.apply(phi.algebra.identity))
-        if abs(value - ref) > 1e-6 * (1.0 + ref):
+        if not tol_check(abs(value - ref), 1e-6, max(value, ref)).ok:
             raise SolverError(
                 "completely positive consistency check failed",
                 value=value, gap=sol.result.gap,

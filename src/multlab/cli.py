@@ -70,7 +70,7 @@ def build_parser():
     run_p = sub.add_parser("run", help="run verification suites on a scenario")
     run_p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     run_p.add_argument("--suite", default=None, help="comma-separated suite names")
-    run_p.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    run_p.add_argument("--tol", type=float, default=None, help="base residual tolerance")
     run_p.add_argument("--seed", type=_parse_seed, default=None, help="rng seed (hex ok)")
     run_p.add_argument("--report", default=None, help="write the JSON report here")
     run_p.add_argument("--json", action="store_true", help="print the report as JSON")

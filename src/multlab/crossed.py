@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebras import BlockAlgebra, CheckResult, GroupAction, make_action
+from .algebras import BlockAlgebra, make_action
 from .errors import ExtensionError, MembershipError, ValidationError
 from .groups import left_regular, right_regular
-from .numerics import DEFAULT_TOL, DenseSpan, dagger, frob_norm, kron, vec
+from .numerics import DEFAULT_TOL, DenseSpan, check_pairs, dagger, frob_norm, kron, tol_check, vec
 
 _EXTENSION_REL_TOL = 1e-7
 
@@ -58,16 +58,15 @@ class CrossedProductModel:
         self.span = DenseSpan(np.stack(mats))
         flat = self.span.basis.reshape(self.span.dim, -1)
         gram = flat.conj() @ flat.T
-        if frob_norm(gram - n * np.eye(self.span.dim)) > DEFAULT_TOL * self.span.dim * n:
+        if not check_pairs([(gram, n * np.eye(self.span.dim))], DEFAULT_TOL).ok:
             raise ValidationError("crossed basis failed Hilbert-Schmidt independence")
         for r in self.group.elements:
             u = self._lams[r]
             for i in range(self.algebra.dim):
                 a = self.algebra.unit(i)
-                cov = u @ self.algebra_rep(a) @ dagger(u) - self.algebra_rep(
-                    self.action.apply(r, a)
-                )
-                if frob_norm(cov) > DEFAULT_TOL * self.ambient_dim:
+                moved = u @ self.algebra_rep(a) @ dagger(u)
+                want = self.algebra_rep(self.action.apply(r, a))
+                if not check_pairs([(moved, want)], DEFAULT_TOL).ok:
                     raise ValidationError(f"covariance fails at element {r}, unit {i}")
         self.mb_algebra = BlockAlgebra(
             tuple(b * n for b in self.algebra.blocks), max_dim=None
@@ -198,7 +197,7 @@ class DualCoaction:
                 for q in g.elements:
                     rview[:, g.mult(r, p), g.mult(r, q), :, p, q] += wmat
         residual = max(frob_norm(lhs - rhs), res_extract, float(leak))
-        return CheckResult(residual <= tol, float(residual), tol)
+        return tol_check(residual, tol, max(frob_norm(lhs), frob_norm(rhs), frob_norm(y)))
 
 
 def dual_coaction(model):
@@ -260,7 +259,7 @@ class DoubleSpan:
 
     def coeffs(self, x, tol=DEFAULT_TOL, require=False):
         c, residual = self.coeffs_with_residual(x)
-        if require and residual > tol * max(1.0, frob_norm(x)):
+        if require and not tol_check(residual, tol, frob_norm(x)).ok:
             raise MembershipError("operator lies outside the double span", residual)
         return c
 
@@ -273,8 +272,9 @@ def word_extension(generators, target_dim, max_len=3, rel_tol=_EXTENSION_REL_TOL
 
     ``generators`` is a list of (label, domain matrix, image matrix).  Words
     start from the identity pair; a product is accepted when its domain matrix
-    adds a new direction (relative residual above ``rel_tol`` after projection
-    onto the accepted words).  Returns the accepted (domain, image) pairs.
+    adds a new direction: its residual after projection onto the accepted
+    words exceeds ``rel_tol * max(1, ||word||)``, so products that vanish up
+    to rounding are never taken.  Returns the accepted (domain, image) pairs.
     Raises :class:`ExtensionError` if words up to ``max_len`` do not reach
     ``target_dim`` independent directions.
     """
@@ -295,13 +295,12 @@ def word_extension(generators, target_dim, max_len=3, rel_tol=_EXTENSION_REL_TOL
         flat = mats.reshape(len(cands), -1)
         resid = flat - (flat @ q.conj().T) @ q
         norms = np.linalg.norm(flat, axis=1)
-        rel = np.linalg.norm(resid, axis=1) / np.maximum(norms, 1e-30)
         next_frontier = []
-        for idx in np.flatnonzero(rel > rel_tol):
+        for idx in np.flatnonzero(~tol_check(np.linalg.norm(resid, axis=1), rel_tol, norms).ok):
             v = flat[idx] - (flat[idx] @ q.conj().T) @ q
             v -= (v @ q.conj().T) @ q
             nv = np.linalg.norm(v)
-            if nv <= rel_tol * norms[idx]:
+            if tol_check(nv, rel_tol, norms[idx]).ok:
                 continue
             q = np.vstack([q, v / nv])
             w_dom = mats[idx]
@@ -342,12 +341,20 @@ class DualityIso:
         return self.domain.matrix(self.inverse @ c)
 
     def validate(self, relations, rng, samples=6, tol=1e-8):
-        """Populate the report: generator relations, *-homomorphism residuals."""
-        rel_res = {}
+        """Populate the report: generator relations, *-homomorphism residuals.
+
+        Each residual is the worst ||f(x) - y||_F of its samples; its scale,
+        the largest max(||f(x)||_F, ||y||_F), goes under the same key in
+        ``report["scales"]``.
+        """
+        res, scales = {}, {}
+
+        def compare(key, got, want):
+            res[key] = max(res.get(key, 0.0), frob_norm(got - want))
+            scales[key] = max(scales.get(key, 0.0), frob_norm(got), frob_norm(want))
+
         for label, dom, img in relations:
-            res = frob_norm(self.apply(dom, require=True, tol=tol) - img)
-            rel_res[label] = max(rel_res.get(label, 0.0), float(res))
-        mult = star = 0.0
+            compare(label, self.apply(dom, require=True, tol=tol), img)
         dim = self.domain.dim
         for _ in range(samples):
             c1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -358,23 +365,15 @@ class DualityIso:
             y = self.domain.matrix(c2)
             fx = self.codomain.matrix(self.coords @ c1)
             fy = self.codomain.matrix(self.coords @ c2)
-            mult = max(mult, frob_norm(self.apply(x @ y, tol=tol) - fx @ fy))
-            star = max(star, frob_norm(self.apply(dagger(x), tol=tol) - dagger(fx)))
-        unital = self._unital_residual()
-        self.report.update(
-            {
-                "relations": rel_res,
-                "multiplicative": float(mult),
-                "star": float(star),
-                "unital": float(unital),
-            }
-        )
-        return self.report
-
-    def _unital_residual(self):
+            compare("multiplicative", self.apply(x @ y, tol=tol), fx @ fy)
+            compare("star", self.apply(dagger(x), tol=tol), dagger(fx))
         dom_eye = np.eye(self.domain.shape[0], dtype=complex)
         cod_eye = np.eye(self.codomain.shape[0], dtype=complex)
-        return frob_norm(self.apply(dom_eye, require=True, tol=1e-8) - cod_eye)
+        compare("unital", self.apply(dom_eye, require=True, tol=1e-8), cod_eye)
+        keys = ("multiplicative", "star", "unital")
+        self.report.update({key: res.get(key, 0.0) for key in keys}, scales=scales)
+        self.report["relations"] = {label: res[label] for label, _, _ in relations}
+        return self.report
 
 
 def takai_generators(model):

@@ -16,10 +16,10 @@ ambient multiplication by ``b (x) 1`` preserve the crossed-product span.
 
 import numpy as np
 
-from .algebras import CbMap, CheckResult
+from .algebras import CbMap
 from .crossed import dual_coaction, fiber_tag
 from .errors import CompatibilityError, NotMultiplierError, ValidationError
-from .numerics import frob_norm
+from .numerics import check_pairs, frob_norm, tol_check
 
 _DEFAULT_SAMPLES = 4
 
@@ -122,10 +122,10 @@ def _off_fiber_mass(model, coords):
 
 
 def _coproduct_residual(model, coords, rng, samples):
-    """Worst sampled residual of delta(T x) = (T tensor id)(delta x)."""
+    """Worst sampled residual of delta(T x) = (T tensor id)(delta x), and its scale."""
     delta = dual_coaction(model)
     k = model.span.dim
-    worst = 0.0
+    worst = scale = 0.0
     for _ in range(samples):
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         c /= np.linalg.norm(c)
@@ -133,7 +133,8 @@ def _coproduct_residual(model, coords, rng, samples):
         mapped_fibers = model.span.matrix(model.fiber_split(c) @ coords.T)
         rhs = fiber_tag(model.group, mapped_fibers[:, None])
         worst = max(worst, frob_norm(lhs - rhs))
-    return worst
+        scale = max(scale, frob_norm(lhs), frob_norm(rhs))
+    return worst, scale
 
 
 def verify_multiplier(model, candidate, tol=1e-9, rng=None, samples=_DEFAULT_SAMPLES):
@@ -141,25 +142,27 @@ def verify_multiplier(model, candidate, tol=1e-9, rng=None, samples=_DEFAULT_SAM
 
     The residual is the larger of the structural off-fiber coordinate mass
     and the worst sampled coaction-intertwining defect; the two vanish
-    together exactly.
+    together exactly.  The scale is the largest norm among the coordinate
+    matrix and the sampled sides of the intertwining.
     """
     coords = _coords_of(model, candidate)
     rng = rng or np.random.default_rng(0x5EED)
     structural = _off_fiber_mass(model, coords)
-    dynamical = _coproduct_residual(model, coords, rng, samples)
+    dynamical, scale = _coproduct_residual(model, coords, rng, samples)
     residual = max(float(structural), float(dynamical))
-    return CheckResult(ok=residual <= tol, residual=residual, tol=tol)
+    return tol_check(residual, tol, max(frob_norm(coords), scale))
 
 
 def extract_fiber_symbol(model, candidate, tol=1e-10):
     """Recover the fiber symbol of a fiberwise span map.
 
     Returns ``(symbol, residual)`` where the residual is the off-fiber
-    coordinate mass; raises :class:`NotMultiplierError` beyond ``tol``.
+    coordinate mass; raises :class:`NotMultiplierError` beyond
+    ``tol * max(1, ||coords||_F)``.
     """
     coords = _coords_of(model, candidate)
     residual = _off_fiber_mass(model, coords)
-    if residual > tol * (1.0 + frob_norm(coords)):
+    if not tol_check(residual, tol, frob_norm(coords)).ok:
         raise NotMultiplierError(
             f"map mixes fibers: off-fiber mass {residual:.3e}",
             residual=float(residual),
@@ -194,15 +197,13 @@ def lift_module_action(model, b, tol=1e-10):
     """
     b = np.asarray(b, dtype=complex)
     alg = model.algebra
-    if alg.residual(b) > tol * (1.0 + frob_norm(b)):
+    if not alg.contains(b, tol=tol):
         raise ValidationError("element lies outside the coefficient algebra")
-    worst = 0.0
-    for r in model.group.elements:
-        for i in range(alg.dim):
-            a = alg.unit(i)
-            defect = b @ model.action.apply(r, a) - model.action.apply(r, b @ a)
-            worst = max(worst, frob_norm(defect))
-    if worst > tol * (1.0 + frob_norm(b)):
+    act = model.action
+    pairs = [(b @ act.apply(r, a), act.apply(r, b @ a))
+             for r in model.group.elements for a in map(alg.unit, range(alg.dim))]
+    ok, worst, _ = check_pairs(pairs, tol)
+    if not ok:
         raise CompatibilityError(
             f"element does not commute with the action (defect {worst:.3e})"
         )
@@ -215,8 +216,4 @@ def hs_module_check(model, b, tol=1e-9):
     symbol = lift_module_action(model, b, tol=tol)
     tmap = multiplier_map(model, symbol)
     amb = np.kron(np.asarray(b, dtype=complex), np.eye(model.group.order))
-    worst = 0.0
-    for k in range(model.span.dim):
-        x = model.span.basis[k]
-        worst = max(worst, frob_norm(tmap.apply(x) - amb @ x))
-    return CheckResult(ok=worst <= tol, residual=float(worst), tol=tol)
+    return check_pairs([(tmap.apply(x), amb @ x) for x in model.span.basis], tol)

@@ -10,12 +10,15 @@ Conventions, fixed once and used everywhere:
 * The Choi matrix of a linear map Phi on d x d matrices is
   ``C[(i, k), (j, l)] = Phi(E_ij)[k, l]``, i.e. ``C = sum_ij kron(E_ij, Phi(E_ij))``.
 
-All operators are numpy arrays with complex dtype.  Tolerances are absolute
-unless stated otherwise; ``DEFAULT_TOL`` is the package-wide default for
-membership and consistency checks.
+All operators are numpy arrays with complex dtype.  Every check compares a
+residual with ``tol * max(1, scale)`` through :func:`tol_check`;
+``DEFAULT_TOL`` is the package-wide base tolerance for membership and
+consistency checks.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,12 +30,36 @@ DEFAULT_TOL = 1e-10
 MAX_KRON_DIM = 20000
 
 
-def as_square(a, name="operator"):
-    """Coerce to a complex square 2-d array, validating the shape."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    return m
+class CheckResult(NamedTuple):
+    """Outcome of a verification: flag, worst residual, effective tolerance."""
+
+    ok: bool
+    residual: float
+    tol: float
+
+
+def tol_check(residual, tol, scale=0.0):
+    """Compare a residual with ``tol * max(1, scale)``: the one tolerance rule.
+
+    ``scale`` is the size of the compared objects; for ``||A - B||`` it is
+    ``max(||A||_F, ||B||_F)``.  Below scale 1 the rule is absolute, above it
+    relative (a normwise backward error), so rounding of a true identity
+    passes at every scale.  The result carries the effective tolerance.
+    Array arguments are compared elementwise.
+    """
+    eff = tol * np.maximum(1.0, scale)
+    ok = residual <= eff
+    if isinstance(ok, np.ndarray):
+        return CheckResult(ok, residual, eff)
+    return CheckResult(bool(ok), float(residual), float(eff))
+
+
+def check_pairs(pairs, tol):
+    """:func:`tol_check` of the worst ``||A - B||_F`` over (A, B) pairs, at the
+    scale ``max(||A||_F, ||B||_F)`` over all of them."""
+    pairs = list(pairs)
+    worst = max(frob_norm(a - b) for a, b in pairs)
+    return tol_check(worst, tol, max(frob_norm(x) for pair in pairs for x in pair))
 
 
 def dagger(a):
@@ -136,7 +163,7 @@ class DenseSpan:
             raise ValidationError("basis contains a (near-)zero matrix")
         off = gram - np.diag(np.diag(gram))
         self._flat = flat
-        if frob_norm(off) <= tol * max(1.0, float(norms.max()) ** 2):
+        if tol_check(frob_norm(off), tol, float(norms.max()) ** 2).ok:
             # Orthogonal: dual basis is the basis scaled by 1/norm^2.
             self._dual = flat.conj() / np.real(np.diag(gram))[:, None]
         else:
@@ -159,13 +186,15 @@ class DenseSpan:
 
         ``x`` is one matrix or a stack of them, shape (k, rows, cols); a stack
         gets a (k, dim) array, row j holding the coordinates of ``x[j]``.
+        With ``require``, a distance to the span above ``tol * max(1, ||x||)``
+        raises :class:`MembershipError`.
         """
         x = np.asarray(x, dtype=complex)
         flat = x.reshape(-1, self._flat.shape[1])
         c = flat @ self._dual.T
         if require:
             res = np.linalg.norm(flat - c @ self._flat, axis=1)
-            bad = np.flatnonzero(res > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1)))
+            bad = np.flatnonzero(~tol_check(res, tol, np.linalg.norm(flat, axis=1)).ok)
             if bad.size:
                 i = int(bad[0])
                 raise MembershipError(
@@ -188,7 +217,7 @@ class DenseSpan:
         return frob_norm(np.asarray(x, dtype=complex) - self.project(x))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        return self.residual(x) <= tol * max(1.0, frob_norm(x))
+        return tol_check(self.residual(x), tol, frob_norm(x)).ok
 
 
 class SpanMap:
@@ -233,9 +262,6 @@ class SpanMap:
 
     def __add__(self, other):
         return SpanMap(self.domain, self.codomain, self.coords + other.coords)
-
-    def __sub__(self, other):
-        return SpanMap(self.domain, self.codomain, self.coords - other.coords)
 
     def __mul__(self, scalar):
         return SpanMap(self.domain, self.codomain, scalar * self.coords)

@@ -19,14 +19,13 @@ symbol) and reports the pair.
 
 import numpy as np
 
-from .algebras import CbMap, CheckResult, make_algebra
+from .algebras import CbMap, make_algebra, translation_action
 from .cbnorm import cb_norm, hs_cb_norm
 from .crossed import CrossedProductModel
 from .errors import ValidationError
 from .groups import dual_group, left_regular, mult_operator
 from .herzschur import FiberSymbol
-from .numerics import frob_norm, kron, vec
-from .algebras import translation_action
+from .numerics import frob_norm, kron, tol_check, vec
 
 
 def weyl_basis(g):
@@ -87,6 +86,8 @@ def verify_simultaneous(g, mapping, tol=1e-10):
     and ``modulation_covariant`` (worst commutator with the two conjugation
     families whose joint eigenbasis the Weyl basis is), and
     ``bisymbol_roundtrip`` (reassembly residual).  All four vanish together.
+    Every compared object is the map or a unitary conjugate of it, or its
+    Weyl-diagonal part, so each check's scale is ``||map||_F``.
     """
     mat = mapping.matrix if isinstance(mapping, CbMap) else np.asarray(mapping, dtype=complex)
     n = g.order
@@ -108,10 +109,8 @@ def verify_simultaneous(g, mapping, tol=1e-10):
         worst = max(worst, float(frob_norm(k @ mat - mat @ k)))
     results["modulation_covariant"] = worst
     results["bisymbol_roundtrip"] = extract_bisymbol(g, mat)[1]
-    return {
-        name: CheckResult(ok=res <= tol, residual=res, tol=tol)
-        for name, res in results.items()
-    }
+    scale = frob_norm(mat)
+    return {name: tol_check(res, tol, scale) for name, res in results.items()}
 
 
 def bisymbol_fiber_symbol(g, u, model=None):

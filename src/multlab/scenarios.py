@@ -78,7 +78,7 @@ from .herzschur import (
     multiplier_map,
     verify_multiplier,
 )
-from .numerics import frob_norm
+from .numerics import DEFAULT_TOL, check_pairs, frob_norm, tol_check
 from .pontryagin import simultaneous_multiplier, verify_simultaneous
 from .sampling import (
     DEFAULT_SEED,
@@ -106,8 +106,6 @@ SUITE_NAMES = (
     "pontryagin",
     "norms",
 )
-
-DEFAULT_TOL = 1e-10
 
 # Ambient superoperators have (n*d)^2 x (n*d)^2 entries; this keeps the
 # grid-shaped suites inside a few hundred megabytes.
@@ -476,19 +474,27 @@ class _Run:
         side = min(self.model.group.order, 4)
         return random_schur_symbol(self.rng(stream), self.model.algebra, side)
 
-    def check(self, name, residual, tol=None, started=None):
-        tol = self.tol if tol is None else tol
+    def check(self, name, residual, tol=None, scale=0.0, started=None):
+        """Record ``residual`` against ``tol * max(1, scale)``, tol defaulting to the run's."""
+        result = tol_check(float(residual), self.tol if tol is None else tol, scale)
         elapsed = 0.0 if started is None else (time.perf_counter() - started) * 1000.0
-        residual = float(residual)
         self.checks.append(
             {
                 "name": name,
-                "residual": residual,
-                "tol": float(tol),
-                "pass": bool(residual <= tol),
+                "residual": result.residual,
+                "tol": result.tol,
+                "pass": result.ok,
                 "time_ms": round(elapsed, 3),
             }
         )
+
+    def check_maps(self, name, pairs, residual=0.0, scale=0.0, **kwargs):
+        """Check the worst ``coords_distance`` of (got, want) map pairs, at least
+        ``residual``, scaled by their largest coordinate norm, at least ``scale``."""
+        for got, want in pairs:
+            residual = max(residual, got.coords_distance(want))
+            scale = max(scale, frob_norm(got.coords), frob_norm(want.coords))
+        self.check(name, residual, scale=scale, **kwargs)
 
     def norm(self, kind, value, gap):
         self.norms.append(
@@ -509,11 +515,12 @@ def _suite_takai(run):
     iso = run.iso()
     report = iso.report
     for label, residual in sorted(report["relations"].items()):
-        run.check(f"takai-relation-{label.split('_')[0]}", residual, started=t0)
+        scale = report["scales"][label]
+        run.check(f"takai-relation-{label.split('_')[0]}", residual, scale=scale, started=t0)
         t0 = None
     for key in ("multiplicative", "star", "unital"):
         start = time.perf_counter()
-        run.check(f"takai-{key}", report[key], started=start)
+        run.check(f"takai-{key}", report[key], scale=report["scales"][key], started=start)
 
 
 def _suite_schur(run):
@@ -521,17 +528,13 @@ def _suite_schur(run):
     symbol = run.grid_symbol(stream=2)
     t0 = time.perf_counter()
     big = schur_map(symbol)
-    result = verify_bimodule(big, algebra=symbol.algebra)
-    run.check("schur-bimodule", result.residual, started=t0)
+    result = verify_bimodule(big, algebra=symbol.algebra, tol=run.tol)
+    run.check("schur-bimodule", result.residual, tol=result.tol, started=t0)
     t0 = time.perf_counter()
     recovered, residual = extract_symbol(big, algebra=symbol.algebra, tol=run.tol)
-    worst = residual
-    for x in range(symbol.nx):
-        for y in range(symbol.ny):
-            worst = max(
-                worst, recovered.maps[x][y].coords_distance(symbol.maps[x][y])
-            )
-    run.check("schur-extract-roundtrip", worst, started=t0)
+    pairs = [(recovered.maps[x][y], symbol.maps[x][y]) for x in range(symbol.nx)
+             for y in range(symbol.ny)]
+    run.check_maps("schur-extract-roundtrip", pairs, residual, frob_norm(big.matrix), started=t0)
     t0 = time.perf_counter()
     ident = SchurSymbol.from_scalar_grid(
         symbol.algebra, np.ones((symbol.nx, symbol.ny))
@@ -542,8 +545,9 @@ def _suite_schur(run):
     blocks = symbol.algebra.blocks
     labels = np.tile(np.repeat(np.arange(len(blocks)), blocks), symbol.nx)
     kept = labels[:, None] == labels[None, :]
-    residual = frob_norm(schur_map(ident).matrix - np.diag(kept.reshape(-1).astype(float)))
-    run.check("schur-identity-grid", residual, started=t0)
+    want = np.diag(kept.reshape(-1).astype(float))
+    result = check_pairs([(schur_map(ident).matrix, want)], run.tol)
+    run.check("schur-identity-grid", result.residual, tol=result.tol, started=t0)
 
 
 def _suite_herzschur(run):
@@ -554,12 +558,9 @@ def _suite_herzschur(run):
     run.check("herzschur-multiplier", result.residual, tol=result.tol, started=t0)
     t0 = time.perf_counter()
     recovered, residual = extract_fiber_symbol(run.model, candidate, tol=run.tol)
-    worst = residual
-    for r in run.model.group.elements:
-        worst = max(
-            worst, recovered.fibers[r].coords_distance(symbol.fibers[r])
-        )
-    run.check("herzschur-extract-roundtrip", worst, started=t0)
+    pairs = zip(recovered.fibers, symbol.fibers)
+    scale = frob_norm(candidate.coords)
+    run.check_maps("herzschur-extract-roundtrip", pairs, residual, scale, started=t0)
     if run.scenario.module_element is not None:
         t0 = time.perf_counter()
         try:
@@ -583,32 +584,28 @@ def _suite_transference(run):
     extension = schur_extension(model, symbol, iso=run.iso())
     transferred = transfer_symbol(model, symbol)
     grid = position_symbol(model, extension, tol=max(run.tol, 1e-9))
-    worst = 0.0
-    for x in model.group.elements:
-        for y in model.group.elements:
-            worst = max(
-                worst,
-                grid.maps[x][y].coords_distance(transferred.maps[x][y]),
-            )
-    run.check("transference-extension-agrees", worst, tol=1e-9, started=t0)
+    pairs = [(grid.maps[x][y], transferred.maps[x][y]) for x in model.group.elements
+             for y in model.group.elements]
+    run.check_maps("transference-extension-agrees", pairs, tol=1e-9, started=t0)
     t0 = time.perf_counter()
     result = check_invariance(model, transferred, tol=run.tol)
-    run.check("transference-invariance", result.residual, started=t0)
+    run.check("transference-invariance", result.residual, tol=result.tol, started=t0)
     t0 = time.perf_counter()
     restricted, leak = restrict_to_crossed(model, extension)
     direct = multiplier_map(model, symbol)
     residual = max(leak, frob_norm(restricted.coords - direct.coords))
-    run.check("transference-restriction-roundtrip", residual, tol=1e-9, started=t0)
+    # The leak compares maps on the crossed basis, whose elements have norm sqrt(n).
+    scale = max(np.sqrt(model.group.order) * frob_norm(restricted.coords),
+                frob_norm(direct.coords))
+    run.check("transference-restriction-roundtrip", residual, tol=1e-9, scale=scale, started=t0)
     if run.scenario.scalar_fibers is not None:
         t0 = time.perf_counter()
         wanted = toeplitz_grid(model.group, run.scenario.scalar_fibers)
         ident = model.algebra.identity
-        worst = 0.0
-        for x in model.group.elements:
-            for y in model.group.elements:
-                cell = transferred.maps[x][y].apply(ident)
-                worst = max(worst, frob_norm(cell - wanted[x, y] * ident))
-        run.check("transference-scalar-grid", worst, started=t0)
+        pairs = [(transferred.maps[x][y].apply(ident), wanted[x, y] * ident)
+                 for x in model.group.elements for y in model.group.elements]
+        result = check_pairs(pairs, run.tol)
+        run.check("transference-scalar-grid", result.residual, tol=result.tol, started=t0)
 
 
 def _suite_invariance(run):
@@ -619,21 +616,20 @@ def _suite_invariance(run):
     t0 = time.perf_counter()
     ambient = ambient_map_of_symbol(model, raw)
     averaged = invariant_average(model, ambient)
-    run.check(
-        "invariance-average-idempotent",
-        invariant_average(model, averaged).coords_distance(averaged),
-        started=t0,
-    )
+    pairs = [(invariant_average(model, averaged), averaged)]
+    run.check_maps("invariance-average-idempotent", pairs, started=t0)
     t0 = time.perf_counter()
     grid = position_symbol(model, averaged, tol=max(run.tol, 1e-9))
     result = check_invariance(model, grid, tol=run.tol)
-    run.check("invariance-average-invariant", result.residual, started=t0)
+    run.check("invariance-average-invariant", result.residual, tol=result.tol, started=t0)
     t0 = time.perf_counter()
     restricted, leak = restrict_to_crossed(model, averaged)
     fiber, _ = extract_fiber_symbol(model, restricted, tol=max(run.tol, 1e-9))
     rebuilt = schur_extension(model, fiber, iso=run.iso())
-    residual = max(leak, rebuilt.coords_distance(averaged))
-    run.check("invariance-restriction-roundtrip", residual, tol=1e-9, started=t0)
+    scale = np.sqrt(side) * frob_norm(restricted.coords)  # the leak's, as above
+    run.check_maps(
+        "invariance-restriction-roundtrip", [(rebuilt, averaged)], leak, scale, tol=1e-9, started=t0
+    )
 
 
 def _suite_pontryagin(run):
@@ -675,24 +671,24 @@ def _suite_norms(run):
         transfer_symbol(model, symbol), details=True
     )
     run.norm("hs", value, result.gap)
-    run.check("norms-hs-gap", result.gap, tol=1e-6 * (1.0 + value), started=t0)
+    run.check("norms-hs-gap", result.gap, tol=1e-6, scale=value, started=t0)
     if run.scenario.scalar_grid is not None:
         t0 = time.perf_counter()
         value, result = schur_cb_norm(run.scenario.scalar_grid, details=True)
         run.norm("schur", value, result.gap)
-        run.check("norms-schur-gap", result.gap, tol=1e-6 * (1.0 + value), started=t0)
+        run.check("norms-schur-gap", result.gap, tol=1e-6, scale=value, started=t0)
     elif run.scenario.grid_symbol is not None:
         t0 = time.perf_counter()
         value, result = schur_symbol_cb_norm(run.scenario.grid_symbol, details=True)
         run.norm("schur", value, result.gap)
-        run.check("norms-schur-gap", result.gap, tol=1e-6 * (1.0 + value), started=t0)
+        run.check("norms-schur-gap", result.gap, tol=1e-6, scale=value, started=t0)
     if run.scenario.bisymbol is not None and g.order <= MAX_CB_DIM:
         t0 = time.perf_counter()
         value, result = cb_norm(
             simultaneous_multiplier(g, run.scenario.bisymbol), details=True
         )
         run.norm("cb", value, result.gap)
-        run.check("norms-cb-gap", result.gap, tol=1e-6 * (1.0 + value), started=t0)
+        run.check("norms-cb-gap", result.gap, tol=1e-6, scale=value, started=t0)
 
 
 _SUITE_RUNNERS = {
@@ -713,7 +709,10 @@ def run_suites(scenario, suites=None, tol=None, seed=None):
 
     Returns ``(report, passed)``.  Configuration problems (unknown suites,
     suites that do not fit the scenario) raise :class:`ScenarioError`;
-    numerical breakdowns inside a suite are recorded as failed checks.
+    numerical breakdowns inside a suite (a :class:`MultlabError` or numpy's
+    ``LinAlgError``) are recorded as a failed ``{suite}-error`` check.  Each
+    check's ``tol`` is the effective tolerance ``tol * max(1, scale)``, the
+    scale being the size of the objects it compares.
     """
     if suites is None:
         suites = scenario.suites or scenario.default_suites()
@@ -729,7 +728,7 @@ def run_suites(scenario, suites=None, tol=None, seed=None):
             raise
         except ValidationError as exc:
             raise ScenarioError(f"{name} suite: {exc}")
-        except MultlabError as exc:
+        except (MultlabError, np.linalg.LinAlgError) as exc:
             residual = float(getattr(exc, "residual", np.inf) or np.inf)
             run.check(f"{name}-error", residual, tol=0.0)
     report = {

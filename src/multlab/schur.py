@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import CbMap, CheckResult, make_algebra
+from .algebras import CbMap, make_algebra
 from .cbnorm import grid_cb_solution
 from .errors import NotMultiplierError, ValidationError
-from .numerics import frob_norm, operator_norm
+from .numerics import frob_norm, operator_norm, tol_check
 
 
 def kernel_operator(blocks):
@@ -89,9 +89,6 @@ class SchurSymbol:
     @classmethod
     def identity(cls, algebra, nx, ny=None):
         return cls.from_scalar_grid(algebra, np.ones((nx, ny or nx)))
-
-    def map_at(self, x, y):
-        return self.maps[x][y]
 
     def choi_blocks(self):
         """The (nY, nX, D^2, D^2) array of Choi matrices of the entry maps."""
@@ -155,7 +152,7 @@ def _as_superoperator(source):
     return mat, nd
 
 
-def _block_split(source, d):
+def _block_split(source, d, tol):
     mat, nd = _as_superoperator(source)
     if nd % d:
         raise ValidationError("ambient dimension is not a multiple of the block size")
@@ -166,7 +163,7 @@ def _block_split(source, d):
         for y in range(n):
             kept[x, :, y, :, x, :, y, :] = r8[x, :, y, :, x, :, y, :]
     residual = frob_norm((r8 - kept).reshape(nd * nd, nd * nd))
-    return r8, n, residual
+    return r8, n, tol_check(residual, tol, frob_norm(r8.reshape(-1)))
 
 
 def verify_bimodule(source, block_dim=None, algebra=None, tol=1e-10):
@@ -174,30 +171,29 @@ def verify_bimodule(source, block_dim=None, algebra=None, tol=1e-10):
 
     The residual is the Frobenius mass of the superoperator outside the
     block-diagonal cells; it vanishes exactly when the map commutes with
-    left/right multiplication by every diagonal block projection.
+    left/right multiplication by every diagonal block projection.  The
+    scale is the Frobenius norm of the superoperator.
     """
     d = algebra.total_dim if algebra is not None else int(block_dim)
-    _, _, residual = _block_split(source, d)
-    return CheckResult(ok=residual <= tol, residual=float(residual), tol=tol)
+    return _block_split(source, d, tol)[2]
 
 
 def extract_symbol(source, algebra=None, block_dim=None, tol=1e-10):
     """Recover the symbol grid of a blockwise map.
 
     Returns ``(symbol, residual)``; raises :class:`NotMultiplierError` when
-    the map has off-block mass beyond ``tol``.
+    the map has off-block mass beyond ``tol * max(1, ||map||_F)``.
     """
     if algebra is None:
         if block_dim is None:
             raise ValidationError("pass the entry algebra or the block size")
         algebra = _full_algebra(int(block_dim))
     d = algebra.total_dim
-    r8, n, residual = _block_split(source, d)
-    scale = 1.0 + frob_norm(r8.reshape(-1))
-    if residual > tol * scale:
+    r8, n, (ok, residual, _) = _block_split(source, d, tol)
+    if not ok:
         raise NotMultiplierError(
             f"map is not a Schur multiplier: off-block mass {residual:.3e}",
-            residual=float(residual),
+            residual=residual,
         )
     dd = d * d
     maps = [
@@ -205,7 +201,7 @@ def extract_symbol(source, algebra=None, block_dim=None, tol=1e-10):
          for y in range(n)]
         for x in range(n)
     ]
-    return SchurSymbol(maps), float(residual)
+    return SchurSymbol(maps), residual
 
 
 @dataclass

@@ -22,11 +22,11 @@ the action unitaries with right translation.
 
 import numpy as np
 
-from .algebras import CbMap, CheckResult, make_algebra
+from .algebras import CbMap, make_algebra
 from .crossed import second_dual_action, takai_duality
 from .errors import NotMultiplierError, ValidationError
 from .herzschur import CrossedMap, FiberSymbol, extract_fiber_symbol
-from .numerics import frob_norm
+from .numerics import frob_norm, tol_check
 from .schur import SchurSymbol, extract_symbol, schur_map
 
 
@@ -158,6 +158,8 @@ def check_invariance(model, symbol, tol=1e-10):
     Checks ``cell(x r, y r) = alpha_{r^-1} o cell(x, y) o alpha_r`` for all
     r; grids of transferred fiber symbols satisfy it exactly, and every grid
     satisfying it restricts to a fiberwise multiplier of the crossed product.
+    The scale is the largest cell norm (the action's coordinate matrices are
+    unitary, so conjugating a cell keeps its norm).
     """
     g = model.group
     n = g.order
@@ -171,7 +173,7 @@ def check_invariance(model, symbol, tol=1e-10):
         moved = g.table[:, r]  # x -> x r
         got = cells[np.ix_(moved, moved)]
         worst = max(worst, float(np.linalg.norm(got - want, axis=(2, 3)).max()))
-    return CheckResult(ok=worst <= tol, residual=worst, tol=tol)
+    return tol_check(worst, tol, np.linalg.norm(cells, axis=(2, 3)).max())
 
 
 def invariant_average(model, mapping):
@@ -210,8 +212,7 @@ def translation_picture(model, symbol, tol=1e-10):
     base = make_algebra(balg.blocks[:k], max_dim=None)
     m = base.dim
     cells = np.zeros((n, n, m, m), dtype=complex)
-    worst = 0.0
-    scale = 1.0
+    worst = scale = 0.0
     for r in g.elements:
         f4 = symbol.fibers[r].coords.reshape(n, m, n, m)
         kept = np.zeros_like(f4)
@@ -220,7 +221,7 @@ def translation_picture(model, symbol, tol=1e-10):
             kept[p, :, p, :] = f4[p, :, p, :]
         worst = max(worst, float(frob_norm((f4 - kept).reshape(n * m, n * m))))
         scale = max(scale, float(frob_norm(symbol.fibers[r].coords)))
-    if worst > tol * (1.0 + scale):
+    if not tol_check(worst, tol, scale).ok:
         raise NotMultiplierError(
             f"fibers mix function positions: off-position mass {worst:.3e}",
             residual=worst,

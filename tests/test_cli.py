@@ -145,3 +145,20 @@ def test_demo_unknown_exits_two(capsys):
     code = main(["demo", "nope"])
     assert code == 2
     assert "unknown demo" in capsys.readouterr().err
+
+
+def test_run_hadamard_action_passes(tmp_path, capsys):
+    # Z2 acting on M2 by Ad(H): the Takai word extension must not take
+    # products that vanish up to rounding (they once made it singular).
+    h = (np.array([[1, 1], [1, -1]]) / np.sqrt(2)).tolist()
+    path = tmp_path / "hadamard.json"
+    path.write_text(json.dumps({
+        "group": {"type": "cyclic", "n": 2},
+        "algebra": {"blocks": [2]},
+        "action": {"unitaries": [[[1, 0], [0, 1]], h]},
+    }))
+    report_path = tmp_path / "report.json"
+    assert main(["run", "--scenario", str(path), "--report", str(report_path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+    checks = json.loads(report_path.read_text())["checks"]
+    assert checks and all(c["pass"] for c in checks)

@@ -302,6 +302,47 @@ def test_first_duality_nonabelian():
     assert phi.report["multiplicative"] < 1e-8
 
 
+def _haar_conjugated(units, seed):
+    v = al.sample_unitary(np.random.default_rng(seed), 2)
+    return [v @ u @ v.conj().T for u in units]
+
+
+def _character_units(n):
+    return [np.diag([1.0, np.exp(2j * np.pi * r / n)]) for r in range(n)]
+
+
+def _standard_units(g):
+    """The two-dimensional irreducible representation of S3, on the
+    orthonormal basis of the sum-zero vectors of C^3."""
+    b = np.array([[1, 1], [-1, 1], [0, -2]]) / np.array([np.sqrt(2), np.sqrt(6)])
+    units = []
+    for p in g.permutations:
+        perm = np.zeros((3, 3))
+        perm[list(p), range(3)] = 1.0
+        units.append(b.T @ perm @ b)
+    return units
+
+
+@pytest.mark.parametrize(
+    "group, units",
+    [
+        (gr.make_cyclic(3), _character_units(3)),
+        (gr.make_cyclic(4), _character_units(4)),
+        (gr.make_symmetric(3), _standard_units(gr.make_symmetric(3))),
+    ],
+    ids=["z3", "z4", "s3"],
+)
+def test_first_duality_on_non_diagonal_inner_actions(group, units):
+    # Conjugating by a Haar unitary makes products of generator words vanish
+    # only up to rounding; word extension must not take them as new directions.
+    m = al.make_algebra((2,))
+    action = al.make_action(group, m, unitaries=_haar_conjugated(units, seed=group.order))
+    report = cr.takai_duality(cr.CrossedProductModel(action)).report
+    assert report["multiplicative"] <= 1e-12
+    assert report["star"] <= 1e-12
+    assert max(report["relations"].values()) <= 1e-12
+
+
 def test_second_duality_relations_and_closed_form():
     g = gr.make_cyclic(3)
     m = al.make_algebra((2,))

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from multlab import scenarios
+from multlab.algebras import CbMap
+from multlab.cli import main
 from multlab.errors import ScenarioError
 from multlab.scenarios import (
     REPORT_SCHEMA_VERSION,
@@ -16,6 +19,7 @@ from multlab.scenarios import (
     run_suites,
     write_report,
 )
+from multlab.schur import SchurSymbol
 
 Z2_SCALAR = {"group": {"type": "cyclic", "n": 2}, "F_scalar": [1, -1]}
 
@@ -262,3 +266,87 @@ def test_load_scenario_and_write_report(tmp_path):
     assert leftovers == []
     with pytest.raises(ScenarioError):
         load_scenario(str(tmp_path / "missing.json"))
+
+
+def _complex_list(a):
+    return [[z.real, z.imag] for z in np.ravel(a)]
+
+
+def _scaled_scenarios(scale):
+    """Z3 translation with bisymbol u, and Z3 ad-M2 with F_scalar and grid_scalar,
+    every seeded entry multiplied by ``scale``."""
+    rng = np.random.default_rng(24)
+
+    def normal(*shape):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    units = [np.diag([1.0, np.exp(2j * np.pi * r / 3)]) for r in range(3)]
+    translation = {
+        "group": {"type": "cyclic", "n": 3},
+        "action": "translation",
+        "u": [_complex_list(row) for row in normal(3, 3)],
+    }
+    ad = {
+        "group": {"type": "cyclic", "n": 3},
+        "algebra": {"blocks": [2]},
+        "action": {"unitaries": [[_complex_list(row) for row in u] for u in units]},
+        "F_scalar": _complex_list(normal(3)),
+        "grid_scalar": [_complex_list(row) for row in normal(3, 3)],
+    }
+    return parse_scenario(translation), parse_scenario(ad)
+
+
+def _plant(monkeypatch, name, defect):
+    """Wrap ``scenarios.<name>`` so one coordinate of its result is off by ``defect``."""
+    original = getattr(scenarios, name)
+
+    def nudge(phi):
+        coords = phi.coords.copy()
+        coords[0, 1] += defect
+        return CbMap.from_coords(phi.algebra, coords)
+
+    def planted(*args):
+        out = original(*args)
+        if isinstance(out, SchurSymbol):
+            maps = [list(row) for row in out.maps]
+            maps[0][1] = nudge(maps[0][1])
+            return SchurSymbol(maps)
+        return nudge(out)
+
+    monkeypatch.setattr(scenarios, name, planted)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6, 1e8])
+def test_checks_hold_at_every_scale_and_catch_a_relative_defect(scale, monkeypatch):
+    # Rounding of a true identity grows with the size of the inputs, so
+    # every check compares with tol * max(1, scale of the compared objects).
+    translation, ad = _scaled_scenarios(scale)
+    for sc in (translation, ad):
+        suites = [s for s in sc.default_suites() if s != "norms"]
+        report, passed = run_suites(sc, suites=suites)
+        assert passed, [c for c in report["checks"] if not c["pass"]]
+    defect = 1e-6 * max(1.0, scale)
+    for sc, name, suite, check in (
+        (translation, "simultaneous_multiplier", "pontryagin", "pontryagin-weyl-diagonal"),
+        (ad, "transfer_symbol", "transference", "transference-extension-agrees"),
+    ):
+        with monkeypatch.context() as patch:
+            _plant(patch, name, defect)
+            report, passed = run_suites(sc, suites=suite)
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert not passed and check in failed, report["checks"]
+
+
+def test_linalg_error_becomes_a_failed_check(monkeypatch, tmp_path):
+    def breaks(run):
+        np.linalg.inv(np.zeros((2, 2)))
+
+    monkeypatch.setitem(scenarios._SUITE_RUNNERS, "takai", breaks)
+    path, out = tmp_path / "z2.json", tmp_path / "report.json"
+    path.write_text(json.dumps(Z2_SCALAR))
+    code = main(["run", "--scenario", str(path), "--suite", "takai,herzschur",
+                 "--report", str(out)])
+    assert code == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert checks[0]["name"] == "takai-error" and not checks[0]["pass"]
+    assert checks[1]["name"] == "herzschur-multiplier"
