@@ -59,6 +59,7 @@ from .cbnorm import (
     MAX_GRID_BLOCK_DIM,
     MAX_GRID_SIDE,
     cb_norm,
+    hs_cb_norm,
     schur_cb_norm,
     schur_symbol_cb_norm,
 )
@@ -667,9 +668,7 @@ def _suite_norms(run):
         )
     symbol = run.fiber_symbol(stream=7)
     t0 = time.perf_counter()
-    value, result = schur_symbol_cb_norm(
-        transfer_symbol(model, symbol), details=True
-    )
+    value, result = hs_cb_norm(model, symbol, details=True)
     run.norm("hs", value, result.gap)
     run.check("norms-hs-gap", result.gap, tol=1e-6, scale=value, started=t0)
     if run.scenario.scalar_grid is not None:

@@ -277,6 +277,14 @@ def test_grid_solution_factorization_data():
     assert nm.is_psd(z, tol=1e-6)
 
 
+def test_total_block_side_cap():
+    # Each block is within its own cap, but the block-diagonal iterates are
+    # also read as one dense matrix, so the blocks' total side is capped.
+    blocks = [(np.array([[-1.0 + 0j]]), np.ones((1, 1, 1)))] * (cb.MAX_SDP_SIDE + 1)
+    with pytest.raises(ValidationError, match="total block side"):
+        cb.sdp_solve(np.array([1.0]), blocks)
+
+
 def test_size_caps():
     with pytest.raises(ValidationError):
         cb.schur_cb_norm(np.ones((30, 30)))

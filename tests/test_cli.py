@@ -162,3 +162,23 @@ def test_run_hadamard_action_passes(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith("PASS")
     checks = json.loads(report_path.read_text())["checks"]
     assert checks and all(c["pass"] for c in checks)
+
+
+def test_run_z2xz2_translation_fits_the_solver(tmp_path, capsys):
+    # Default suites include norms; the unreduced grid SDP would have
+    # 1 + 2 * 64^2 = 8193 parameters, over the solver cap.  Reduced by the
+    # grid's symmetry it has 129.
+    path = tmp_path / "z2xz2-translation.json"
+    path.write_text(json.dumps({
+        "group": {"type": "product", "factors": [
+            {"type": "cyclic", "n": 2}, {"type": "cyclic", "n": 2},
+        ]},
+        "action": "translation",
+    }))
+    report_path = tmp_path / "report.json"
+    assert main(["run", "--scenario", str(path), "--report", str(report_path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
+    report = json.loads(report_path.read_text())
+    assert report["checks"] and all(c["pass"] for c in report["checks"])
+    assert "norms-hs-gap" in [c["name"] for c in report["checks"]]
+    assert [n["kind"] for n in report["norms"]] == ["hs"]
